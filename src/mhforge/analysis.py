@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from math import prod
 
 from .dataset import LabelCategories
 from .errors import MhforgeError
@@ -64,26 +65,21 @@ def _spec_coverage(spec: NetworkSpec) -> int:
 
 
 def count_macc(spec: NetworkSpec, shapes: dict[str, tuple[int, int, int]] | None = None) -> CostBreakdown:
-    """Full cost breakdown. conv macc = K*K*Cin*Cout*Hout*Wout; fc macc = D*F; rest 0."""
+    """Full cost breakdown. macc = weight elements * Hout * Wout: K*K*Cin*Cout*Hout*Wout for conv, D*F for fc."""
     if shapes is None:
         shapes = validate_shapes(spec)
     layers = []
     macc_total = macc_trained = params_total = 0
     for lay in spec.layers:
         macc = params = 0
-        if lay.kind in ("conv", "fc"):
+        if lay.has_params:
             try:
-                c_in, h_in, w_in = shapes[lay.inputs[0]]
+                weights = lay.weight_shape(shapes[lay.inputs[0]])
+                _, h_out, w_out = shapes[lay.name]
             except KeyError:
                 raise AnalysisError(f"no shape for input of layer {lay.name}; spec not validated") from None
-            if lay.kind == "conv":
-                _, h_out, w_out = shapes[lay.name]
-                macc = lay.kernel * lay.kernel * c_in * lay.out_channels * h_out * w_out
-                params = lay.out_channels * c_in * lay.kernel * lay.kernel + lay.out_channels
-            else:
-                d = c_in * h_in * w_in
-                macc = d * lay.out_features
-                params = lay.out_features * d + lay.out_features
+            macc = prod(weights) * h_out * w_out
+            params = prod(weights) + weights[0]
             macc_total += macc
             params_total += params
             if not lay.frozen:
@@ -97,10 +93,6 @@ def count_macc(spec: NetworkSpec, shapes: dict[str, tuple[int, int, int]] | None
         size_bytes_estimate=header_bytes(spec) + 4 * params_total,
         coverage=_spec_coverage(spec),
     )
-
-
-def count_params(spec: NetworkSpec) -> CostBreakdown:
-    return count_macc(spec)
 
 
 def estimate_size(spec: NetworkSpec) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MhforgeError
-from .tensor_ops import Tensor
+from .tensor_ops import SEED_MASK, Tensor
 
 
 class DataError(MhforgeError):
@@ -281,7 +281,7 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str) -> tuple[list[Mani
     """
     categories = LabelCategories(("shape", "position"), (tuple(config.shapes), tuple(config.positions)))
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(config.seed & ((1 << 64) - 1))
+    rng = np.random.default_rng(config.seed & SEED_MASK)
     entries = []
     idx = 0
     for si, shape in enumerate(config.shapes):
@@ -295,11 +295,9 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str) -> tuple[list[Mani
     return entries, categories
 
 
-def epoch_order(count: int, seed: int, shuffle: bool) -> np.ndarray:
-    """Deterministic visit order for one epoch."""
-    if not shuffle:
-        return np.arange(count)
-    rng = np.random.default_rng(np.random.SeedSequence(seed & ((1 << 64) - 1)))
+def epoch_order(count: int, seed: int) -> np.ndarray:
+    """Deterministic shuffled visit order for one epoch."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed & SEED_MASK))
     return rng.permutation(count)
 
 
@@ -317,24 +315,3 @@ def load_images(entries: list[ManifestEntry]) -> Tensor:
         stack[i, 0] = img
     return Tensor(stack)
 
-
-def make_batches(
-    entries: list[ManifestEntry], batch_size: int, seed: int = 0, shuffle: bool = False
-) -> list[tuple[Tensor, tuple[np.ndarray, ...]]]:
-    """Splits entries into (image tensor, per-category label arrays) batches.
-
-    The final short batch is kept. Order is deterministic for a fixed seed.
-    """
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    if not entries:
-        raise DataError("no entries to batch")
-    order = epoch_order(len(entries), seed, shuffle)
-    n_cats = len(entries[0].labels)
-    batches = []
-    for start in range(0, len(entries), batch_size):
-        chunk = [entries[int(i)] for i in order[start : start + batch_size]]
-        images = load_images(chunk)
-        labels = tuple(np.array([e.labels[k] for e in chunk], dtype=np.int64) for k in range(n_cats))
-        batches.append((images, labels))
-    return batches

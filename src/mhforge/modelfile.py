@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 from .dataset import LabelCategories
 from .errors import MhforgeError
-from .netspec import NetworkSpec, bind_categories, parse_netspec, serialize_netspec, validate_shapes
-from .tensor_ops import LayerParams, Tensor, init_params
+from .netspec import NetworkSpec, bind_categories, parse_netspec, serialize_netspec, weight_shapes
+from .tensor_ops import SEED_MASK, LayerParams, Tensor, init_params
 
 MAGIC = b"MHFORGE1"
 FORMAT_VERSION = 1
-
-_SEED_MASK = (1 << 64) - 1
 
 
 class ModelFileError(MhforgeError):
@@ -97,36 +96,22 @@ def categories_from_label_maps(label_maps: dict[str, tuple[str, ...]]) -> LabelC
     return LabelCategories(tuple(label_maps), tuple(label_maps.values()))
 
 
-def _param_dims(spec: NetworkSpec) -> list[tuple[str, str, int, int, int]]:
-    """(name, kind, out_dim, in_dim, kernel) for each parameterized layer, in order."""
-    shapes = validate_shapes(spec)
-    dims = []
-    for lay in spec.param_layers():
-        c, h, w = shapes[lay.inputs[0]]
-        if lay.kind == "conv":
-            dims.append((lay.name, "conv", lay.out_channels, c, lay.kernel))
-        else:
-            dims.append((lay.name, "fc", lay.out_features, c * h * w, 1))
-    return dims
-
-
 def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
     """Fresh deterministic parameters for every conv/fc layer of a validated spec."""
-    dims = _param_dims(spec)
-    ss = np.random.SeedSequence(seed & _SEED_MASK)
-    layer_seeds = ss.generate_state(max(len(dims), 1), dtype=np.uint64)
+    shapes = weight_shapes(spec)
+    ss = np.random.SeedSequence(seed & SEED_MASK)
+    layer_seeds = ss.generate_state(max(len(shapes), 1), dtype=np.uint64)
     params = {}
-    for (name, kind, out_dim, in_dim, kernel), layer_seed in zip(dims, layer_seeds):
+    for (name, wshape), layer_seed in zip(shapes.items(), layer_seeds):
         lay = spec.layer(name)
-        if kind == "fc" and lay.head_tag is not None:
+        if lay.head_tag is not None:
             # classifier heads start at zero: uniform initial predictions, and
             # the first update already points along the class feature means
-            params[name] = LayerParams(
-                Tensor.zeros((out_dim, in_dim, 1, 1)), np.zeros(out_dim), lay.frozen
-            )
+            params[name] = LayerParams(Tensor.zeros(wshape), np.zeros(wshape[0]), lay.frozen)
         else:
+            out_dim, in_dim, kernel, _ = wshape
             params[name] = init_params(
-                kind, out_dim=out_dim, in_dim=in_dim, kernel=kernel, seed=int(layer_seed), frozen=lay.frozen
+                lay.kind, out_dim=out_dim, in_dim=in_dim, kernel=kernel, seed=int(layer_seed), frozen=lay.frozen
             )
     return ModelBundle(spec, params, label_maps_from_categories(spec.categories))
 
@@ -139,9 +124,20 @@ def header_bytes(spec: NetworkSpec) -> int:
 
 
 def save_model(bundle: ModelBundle, path: str) -> int:
-    """Writes the bundle; returns the byte count, which always equals the file length."""
+    """Writes the bundle; returns the byte count, which always equals the file length.
+
+    Refuses, before the file is opened, parameters that are not finite as float32.
+    """
     spec_text = serialize_netspec(bundle.spec).encode("utf-8")
     maps_text = serialize_label_maps(bundle.label_maps).encode("utf-8")
+    payload = []
+    for lay in bundle.spec.param_layers():
+        p = bundle.params[lay.name]
+        with np.errstate(over="ignore"):
+            arrays = (p.weights.data.astype("<f4"), p.bias.astype("<f4"))
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ModelFileError(f"layer {lay.name}: weights or bias are not finite as float32; nothing written")
+        payload += [a.tobytes() for a in arrays]
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", bundle.format_version))
@@ -149,10 +145,7 @@ def save_model(bundle: ModelBundle, path: str) -> int:
         f.write(spec_text)
         f.write(struct.pack("<I", len(maps_text)))
         f.write(maps_text)
-        for lay in bundle.spec.param_layers():
-            p = bundle.params[lay.name]
-            f.write(p.weights.data.astype("<f4").tobytes())
-            f.write(p.bias.astype("<f4").tobytes())
+        f.writelines(payload)
         return f.tell()
 
 
@@ -187,15 +180,14 @@ def load_model(path: str) -> ModelBundle:
         spec = bind_categories(spec, categories)
 
     params = {}
-    for name, kind, out_dim, in_dim, kernel in _param_dims(spec):
-        lay = spec.layer(name)
-        wshape = (out_dim, in_dim, kernel, kernel) if kind == "conv" else (out_dim, in_dim, 1, 1)
-        wcount = int(np.prod(wshape))
-        wraw = take(4 * wcount, f"{name} weights")
-        braw = take(4 * out_dim, f"{name} bias")
+    for name, wshape in weight_shapes(spec).items():
+        wraw = take(4 * prod(wshape), f"{name} weights")
+        braw = take(4 * wshape[0], f"{name} bias")
         weights = np.frombuffer(wraw, dtype="<f4").astype(np.float64).reshape(wshape)
         bias = np.frombuffer(braw, dtype="<f4").astype(np.float64)
-        params[name] = LayerParams(Tensor(weights), bias, lay.frozen)
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ModelFileError(f"{path}: layer {name} holds non-finite weights or bias")
+        params[name] = LayerParams(Tensor(weights), bias, spec.layer(name).frozen)
     if pos != len(blob):
         raise ModelFileError(f"{path}: {len(blob) - pos} trailing bytes after weights")
     return ModelBundle(spec, params, label_maps, version)

@@ -15,17 +15,24 @@ Layers must be defined before they are referenced. conv and fc layers accept
 `frozen=true`; fc layers accept `in_features=D` to pin their expected input
 width. A category binding (which label categories feed which heads) is not
 part of the text: it is attached separately with bind_categories.
+
+Each layer kind is described once, in `_LAYER_KINDS`: the keys it takes, its
+output shape, and its weight shape. Parsing, serializing, shape validation,
+the cost model and the model file all read that table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from math import prod
+from typing import Callable
 
 from .dataset import LabelCategories
 from .errors import MhforgeError
+from .tensor_ops import Shape4, window_out_dim
 
-KINDS = ("input", "conv", "relu", "maxpool", "gavgpool", "fc", "loss", "accuracy")
+Shape3 = tuple[int, int, int]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
@@ -72,13 +79,21 @@ class LayerSpec:
     frozen: bool = False
     head_tag: str | None = None
 
+    @property
+    def has_params(self) -> bool:
+        return _LAYER_KINDS[self.kind].weight_shape is not None
+
+    def weight_shape(self, in_shape: Shape3) -> Shape4:
+        """(out, in, K, K) weights of this parameterised layer when its input is `in_shape`."""
+        return _LAYER_KINDS[self.kind].weight_shape(self, in_shape)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
     """An ordered, define-before-use layer list plus the input shape (C, H, W)."""
 
     layers: tuple[LayerSpec, ...]
-    input_shape: tuple[int, int, int]
+    input_shape: Shape3
     categories: LabelCategories | None = None
 
     def layer(self, name: str) -> LayerSpec:
@@ -97,20 +112,70 @@ class NetworkSpec:
         return tuple(l for l in self.layers if l.kind == "accuracy")
 
     def param_layers(self) -> tuple[LayerSpec, ...]:
-        return tuple(l for l in self.layers if l.kind in ("conv", "fc"))
+        return tuple(l for l in self.layers if l.has_params)
 
 
-# keys each kind accepts (beyond name), and which of those are required
-_KIND_KEYS = {
-    "input": ({"shape"}, {"shape"}),
-    "conv": ({"in", "out_channels", "kernel", "stride", "pad", "frozen"}, {"in", "out_channels", "kernel"}),
-    "relu": ({"in"}, {"in"}),
-    "maxpool": ({"in", "kernel", "stride"}, {"in", "kernel"}),
-    "gavgpool": ({"in"}, {"in"}),
-    "fc": ({"in", "out", "head", "in_features", "frozen"}, {"in", "out"}),
-    "loss": ({"in", "label", "weight"}, {"in", "label"}),
-    "accuracy": ({"in", "label"}, {"in", "label"}),
+@dataclass(frozen=True)
+class LayerKind:
+    """What every module needs to know about one layer kind."""
+
+    keys: tuple[str, ...]  # accepted beyond name=, in the order serialize_netspec writes them
+    required: tuple[str, ...]
+    out_shape: Callable[[LayerSpec, Shape3], Shape3] | None = None  # raises on impossible sizes; None: metric sink
+    weight_shape: Callable[[LayerSpec, Shape3], Shape4] | None = None  # (out, in, K, K); None: no parameters
+    defaults: Callable[[dict], dict] = lambda f: {}  # parsed keys -> values of the unstated optional ones
+
+
+def _conv_shape(lay: LayerSpec, in_shape: Shape3) -> Shape3:
+    _, h, w = in_shape
+    k, s, p = lay.kernel, lay.stride, lay.pad
+    ho, wo = window_out_dim(h, k, s, p), window_out_dim(w, k, s, p)
+    if ho < 1 or wo < 1:
+        raise ValidationError(
+            f"layer {lay.name}: conv output ({h}+2*{p}-{k})//{s}+1 = {ho} by "
+            f"({w}+2*{p}-{k})//{s}+1 = {wo} must be >= 1"
+        )
+    return lay.out_channels, ho, wo
+
+
+def _pool_shape(lay: LayerSpec, in_shape: Shape3) -> Shape3:
+    c, h, w = in_shape
+    k, s = lay.kernel, lay.stride
+    if k > h or k > w:
+        raise ValidationError(f"layer {lay.name}: pool window {k} exceeds input {h}x{w}")
+    return c, window_out_dim(h, k, s), window_out_dim(w, k, s)
+
+
+def _fc_shape(lay: LayerSpec, in_shape: Shape3) -> Shape3:
+    d = prod(in_shape)
+    if lay.in_features is not None and lay.in_features != d:
+        raise ValidationError(f"layer {lay.name}: fc expected input dim {lay.in_features}, found {d}")
+    return lay.out_features, 1, 1
+
+
+_LAYER_KINDS = {
+    "input": LayerKind(("shape",), ("shape",), lambda lay, s: s),
+    "conv": LayerKind(
+        ("in", "out_channels", "kernel", "stride", "pad", "frozen"), ("in", "out_channels", "kernel"), _conv_shape,
+        lambda lay, s: (lay.out_channels, s[0], lay.kernel, lay.kernel), lambda f: {"stride": 1, "pad": 0},
+    ),
+    "relu": LayerKind(("in",), ("in",), lambda lay, s: s),
+    "maxpool": LayerKind(  # an unstated pool stride is the window size
+        ("in", "kernel", "stride"), ("in", "kernel"), _pool_shape, defaults=lambda f: {"stride": f["kernel"]}
+    ),
+    "gavgpool": LayerKind(("in",), ("in",), lambda lay, s: (s[0], 1, 1)),
+    "fc": LayerKind(
+        ("in", "out", "in_features", "head", "frozen"), ("in", "out"), _fc_shape,
+        lambda lay, s: (lay.out_features, prod(s), 1, 1),
+    ),
+    "loss": LayerKind(("in", "label", "weight"), ("in", "label"), defaults=lambda f: {"weight": 1.0}),
+    "accuracy": LayerKind(("in", "label"), ("in", "label")),
 }
+
+KINDS = tuple(_LAYER_KINDS)
+
+# text key -> LayerSpec field, where the two differ; `shape` belongs to the NetworkSpec
+_FIELDS = {"in": "inputs", "out": "out_features", "head": "head_tag", "label": "label_slot", "weight": "loss_weight"}
 
 _MIN_INT = {"kernel": 1, "stride": 1, "pad": 0, "out_channels": 1, "out": 1, "in_features": 1}
 
@@ -134,7 +199,7 @@ def parse_netspec(text: str) -> NetworkSpec:
     """Parses the line grammar. Every malformed line raises with its line number."""
     layers: list[LayerSpec] = []
     seen: dict[str, str] = {}
-    input_shape: tuple[int, int, int] | None = None
+    input_shape: Shape3 | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -144,7 +209,7 @@ def parse_netspec(text: str) -> NetworkSpec:
         kind = tokens[0].group()
         if kind not in KINDS:
             raise ParseError(f"unknown kind {kind!r}, expected one of {', '.join(KINDS)}", lineno, tokens[0].start() + 1)
-        allowed, required = _KIND_KEYS[kind]
+        layer_kind = _LAYER_KINDS[kind]
 
         fields: dict[str, object] = {}
         for tok in tokens[1:]:
@@ -153,11 +218,11 @@ def parse_netspec(text: str) -> NetworkSpec:
             if "=" not in piece:
                 raise ParseError(f"expected key=value, got {piece!r}", lineno, col)
             key, _, value = piece.partition("=")
-            if key != "name" and key not in allowed:
+            if key != "name" and key not in layer_kind.keys:
                 raise ParseError(
-                    f"{kind} does not take {key!r} (allowed: name, {', '.join(sorted(allowed))})", lineno, col
+                    f"{kind} does not take {key!r} (allowed: name, {', '.join(sorted(layer_kind.keys))})", lineno, col
                 )
-            if key in fields or (key == "name" and "name" in fields):
+            if key in fields:
                 raise ParseError(f"duplicate key {key!r}", lineno, col)
             if not value:
                 raise ParseError(f"empty value for {key!r}", lineno, col)
@@ -182,53 +247,31 @@ def parse_netspec(text: str) -> NetworkSpec:
                 if not (w > 0) or w != w or w == float("inf"):
                     raise ParseError(f"weight must be a finite positive number, got {value!r}", lineno, col)
                 fields[key] = w
-            elif key == "frozen":
+            else:  # frozen
                 if value not in ("true", "false"):
                     raise ParseError(f"frozen must be true or false, got {value!r}", lineno, col)
                 fields[key] = value == "true"
-            else:
-                raise ParseError(f"unhandled key {key!r}", lineno, col)
 
         if "name" not in fields:
             raise ParseError(f"{kind} directive needs name=", lineno, tokens[0].start() + 1)
-        name = fields["name"]
+        name = fields.pop("name")
         if name in seen:
             raise ParseError(f"duplicate name {name!r} (already a {seen[name]} layer)", lineno)
-        missing = sorted(required - set(fields))
+        missing = sorted(set(layer_kind.required) - set(fields))
         if missing:
             raise ParseError(f"{kind} {name!r} is missing {', '.join(k + '=' for k in missing)}", lineno)
+        fields = {**layer_kind.defaults(fields), **fields}
 
-        if kind == "input":
+        if "shape" in fields:
             if input_shape is not None:
                 raise ParseError("second input layer; exactly one is allowed", lineno)
-            input_shape = fields["shape"]  # type: ignore[assignment]
-            layers.append(LayerSpec(name=name, kind="input"))
+            input_shape = fields.pop("shape")  # type: ignore[assignment]
         else:
             src = fields["in"]
             if src not in seen:
                 raise ParseError(f"{name!r} references undefined layer {src!r}", lineno)
-            stride = None
-            if kind == "conv":
-                stride = fields.get("stride", 1)
-            elif kind == "maxpool":
-                stride = fields.get("stride", fields["kernel"])  # unstated pool stride = window size
-            layers.append(
-                LayerSpec(
-                    name=name,
-                    kind=kind,
-                    inputs=(src,),
-                    kernel=fields.get("kernel"),
-                    stride=stride,
-                    pad=fields.get("pad", 0) if kind == "conv" else None,
-                    out_channels=fields.get("out_channels"),
-                    out_features=fields.get("out"),
-                    in_features=fields.get("in_features"),
-                    label_slot=fields.get("label"),
-                    loss_weight=fields.get("weight", 1.0) if kind == "loss" else None,
-                    frozen=bool(fields.get("frozen", False)),
-                    head_tag=fields.get("head"),
-                )
-            )
+            fields["in"] = (src,)
+        layers.append(LayerSpec(name=name, kind=kind, **{_FIELDS.get(k, k): v for k, v in fields.items()}))
         seen[name] = kind
 
     if input_shape is None:
@@ -236,83 +279,44 @@ def parse_netspec(text: str) -> NetworkSpec:
     return NetworkSpec(tuple(layers), input_shape)
 
 
+def _key_text(spec: NetworkSpec, lay: LayerSpec, key: str) -> str | None:
+    """The text of one key of a layer, or None where the line leaves the key out."""
+    if key == "shape":
+        return "x".join(map(str, spec.input_shape))
+    value = getattr(lay, _FIELDS.get(key, key))
+    if key == "in":
+        return value[0]
+    if key == "frozen":
+        return "true" if value else None
+    return None if value is None else str(value)
+
+
 def serialize_netspec(spec: NetworkSpec) -> str:
     """Canonical text form; parse_netspec(serialize_netspec(s)) is structurally equal to s."""
     lines = []
     for lay in spec.layers:
-        if lay.kind == "input":
-            c, h, w = spec.input_shape
-            lines.append(f"input name={lay.name} shape={c}x{h}x{w}")
-            continue
-        parts = [lay.kind, f"name={lay.name}", f"in={lay.inputs[0]}"]
-        if lay.kind == "conv":
-            parts += [f"out_channels={lay.out_channels}", f"kernel={lay.kernel}", f"stride={lay.stride}", f"pad={lay.pad}"]
-        elif lay.kind == "maxpool":
-            parts += [f"kernel={lay.kernel}", f"stride={lay.stride}"]
-        elif lay.kind == "fc":
-            parts.append(f"out={lay.out_features}")
-            if lay.in_features is not None:
-                parts.append(f"in_features={lay.in_features}")
-            if lay.head_tag is not None:
-                parts.append(f"head={lay.head_tag}")
-        elif lay.kind == "loss":
-            parts += [f"label={lay.label_slot}", f"weight={lay.loss_weight}"]
-        elif lay.kind == "accuracy":
-            parts.append(f"label={lay.label_slot}")
-        if lay.frozen:
-            parts.append("frozen=true")
+        parts = [lay.kind, f"name={lay.name}"]
+        for key in _LAYER_KINDS[lay.kind].keys:
+            text = _key_text(spec, lay, key)
+            if text is not None:
+                parts.append(f"{key}={text}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def validate_shapes(spec: NetworkSpec) -> dict[str, tuple[int, int, int]]:
+def validate_shapes(spec: NetworkSpec) -> dict[str, Shape3]:
     """Propagates (C, H, W) shapes through the graph and checks all wiring rules.
 
     Returns a map for every tensor-producing layer; loss and accuracy layers
     are metric sinks and have no entry.
     """
-    shapes: dict[str, tuple[int, int, int]] = {}
+    shapes: dict[str, Shape3] = {}
     kinds = {l.name: l.kind for l in spec.layers}
 
-    def src_shape(lay: LayerSpec) -> tuple[int, int, int]:
-        src = lay.inputs[0]
-        if kinds[src] in ("loss", "accuracy"):
-            raise ValidationError(f"layer {lay.name}: input {src!r} is a {kinds[src]} layer and produces no tensor")
-        return shapes[src]
-
     for lay in spec.layers:
-        if lay.kind == "input":
-            shapes[lay.name] = spec.input_shape
-        elif lay.kind == "conv":
-            c, h, w = src_shape(lay)
-            k, s, p = lay.kernel, lay.stride, lay.pad
-            ho = (h + 2 * p - k) // s + 1
-            wo = (w + 2 * p - k) // s + 1
-            if ho < 1 or wo < 1:
-                raise ValidationError(
-                    f"layer {lay.name}: conv output ({h}+2*{p}-{k})//{s}+1 = {ho} by "
-                    f"({w}+2*{p}-{k})//{s}+1 = {wo} must be >= 1"
-                )
-            shapes[lay.name] = (lay.out_channels, ho, wo)
-        elif lay.kind == "relu":
-            shapes[lay.name] = src_shape(lay)
-        elif lay.kind == "maxpool":
-            c, h, w = src_shape(lay)
-            k, s = lay.kernel, lay.stride
-            if k > h or k > w:
-                raise ValidationError(f"layer {lay.name}: pool window {k} exceeds input {h}x{w}")
-            shapes[lay.name] = (c, (h - k) // s + 1, (w - k) // s + 1)
-        elif lay.kind == "gavgpool":
-            c, h, w = src_shape(lay)
-            shapes[lay.name] = (c, 1, 1)
-        elif lay.kind == "fc":
-            c, h, w = src_shape(lay)
-            d = c * h * w
-            if lay.in_features is not None and lay.in_features != d:
-                raise ValidationError(f"layer {lay.name}: fc expected input dim {lay.in_features}, found {d}")
-            shapes[lay.name] = (lay.out_features, 1, 1)
-        elif lay.kind in ("loss", "accuracy"):
-            src = lay.inputs[0]
+        out_shape = _LAYER_KINDS[lay.kind].out_shape
+        src = lay.inputs[0] if lay.inputs else None
+        if out_shape is None:  # a metric sink: loss or accuracy over one tagged fc head
             if kinds[src] != "fc":
                 raise ValidationError(f"layer {lay.name}: {lay.kind} must consume an fc layer, not {kinds[src]}")
             head = spec.layer(src)
@@ -322,6 +326,12 @@ def validate_shapes(spec: NetworkSpec) -> dict[str, tuple[int, int, int]]:
                 raise ValidationError(
                     f"layer {lay.name}: label {lay.label_slot!r} does not match head tag {head.head_tag!r} of {src!r}"
                 )
+        elif src is None:
+            shapes[lay.name] = out_shape(lay, spec.input_shape)
+        elif _LAYER_KINDS[kinds[src]].out_shape is None:
+            raise ValidationError(f"layer {lay.name}: input {src!r} is a {kinds[src]} layer and produces no tensor")
+        else:
+            shapes[lay.name] = out_shape(lay, shapes[src])
 
     loss_pairs = [(l.inputs[0], l.label_slot) for l in spec.losses()]
     acc_pairs = [(l.inputs[0], l.label_slot) for l in spec.accuracies()]
@@ -347,6 +357,12 @@ def validate_shapes(spec: NetworkSpec) -> dict[str, tuple[int, int, int]]:
                     f"head {head.name}: out={head.out_features} but category {head.head_tag} has {m} classes"
                 )
     return shapes
+
+
+def weight_shapes(spec: NetworkSpec) -> dict[str, Shape4]:
+    """Weight shape of every parameterised layer of a valid spec, in description order."""
+    shapes = validate_shapes(spec)
+    return {lay.name: lay.weight_shape(shapes[lay.inputs[0]]) for lay in spec.param_layers()}
 
 
 def bind_categories(spec: NetworkSpec, categories: LabelCategories) -> NetworkSpec:

@@ -28,7 +28,7 @@ class SurgeryError(MhforgeError):
 
 def freeze_layers(spec: NetworkSpec) -> NetworkSpec:
     """Marks every parameterized layer frozen; other kinds carry no parameters."""
-    frozen = tuple(replace(l, frozen=True) if l.kind in ("conv", "fc") else l for l in spec.layers)
+    frozen = tuple(replace(l, frozen=True) if l.has_params else l for l in spec.layers)
     return replace(spec, layers=frozen)
 
 

@@ -15,7 +15,7 @@ from .errors import MhforgeError
 
 Shape4 = tuple[int, int, int, int]
 
-_SEED_MASK = (1 << 64) - 1
+SEED_MASK = (1 << 64) - 1  # seeds are reduced to 64 bits wherever numpy takes them
 
 
 class ShapeMismatch(MhforgeError):
@@ -97,7 +97,8 @@ class LayerParams:
         return LayerParams(self.weights.copy(), self.bias.copy(), self.frozen)
 
 
-def _conv_out_dim(size: int, kernel: int, stride: int, pad: int) -> int:
+def window_out_dim(size: int, kernel: int, stride: int, pad: int = 0) -> int:
+    """Output positions along one spatial dim of a conv or pool window sweep."""
     return (size + 2 * pad - kernel) // stride + 1
 
 
@@ -112,8 +113,8 @@ def _check_conv_args(input: Tensor, params: LayerParams, stride: int, pad: int) 
     n, c, h, w = input.shape
     if c != cin:
         raise ShapeMismatch(f"input has {c} channels but kernel expects {cin}")
-    hout = _conv_out_dim(h, kh, stride, pad)
-    wout = _conv_out_dim(w, kh, stride, pad)
+    hout = window_out_dim(h, kh, stride, pad)
+    wout = window_out_dim(w, kh, stride, pad)
     if hout < 1 or wout < 1:
         raise ShapeMismatch(
             f"conv output would be {hout}x{wout} for input {h}x{w}, kernel {kh}, stride {stride}, pad {pad}"
@@ -191,8 +192,8 @@ def maxpool2d(input: Tensor, k: int, stride: int) -> tuple[Tensor, PoolIndexMap]
     n, c, h, w = input.shape
     if k > h or k > w:
         raise ShapeMismatch(f"pool window {k}x{k} exceeds spatial dims {h}x{w}")
-    hout = (h - k) // stride + 1
-    wout = (w - k) // stride + 1
+    hout = window_out_dim(h, k, stride)
+    wout = window_out_dim(w, k, stride)
     win = _windows(input.data, k, stride)
     flat = win.reshape(n, c, hout, wout, k * k)
     local = flat.argmax(axis=-1)  # first occurrence wins: lowest flat index
@@ -329,7 +330,7 @@ def init_params(
     fc:   uniform in +/- sqrt(6 / (D + F)).
     Biases start at zero. The same 64-bit seed always yields identical params.
     """
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(seed & SEED_MASK)
     if kind == "conv":
         std = np.sqrt(2.0 / (kernel * kernel * in_dim))
         w = rng.standard_normal((out_dim, in_dim, kernel, kernel)) * std

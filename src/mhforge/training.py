@@ -18,6 +18,7 @@ from .errors import MhforgeError
 from .modelfile import ModelBundle
 from .surgery import HcLabelMap, hc_encode
 from .tensor_ops import (
+    SEED_MASK,
     LayerParams,
     PoolIndexMap,
     Tensor,
@@ -34,8 +35,6 @@ from .tensor_ops import (
     softmax_cross_entropy,
     top1_accuracy,
 )
-
-_SEED_MASK = (1 << 64) - 1
 
 
 class TrainError(MhforgeError):
@@ -88,50 +87,75 @@ class ForwardState:
     batch_size: int
 
 
+def _fc_forward(bundle, state, lay, x, labels):
+    out = fully_connected(x, bundle.params[lay.name])
+    if lay.head_tag is not None:
+        state.heads[lay.head_tag] = HeadResult(lay.head_tag, lay.name, out, 1.0)
+    return out
+
+
+def _maxpool_forward(bundle, state, lay, x, labels):
+    out, state.pool_maps[lay.name] = maxpool2d(x, lay.kernel, lay.stride)
+    return out
+
+
+def _loss_forward(bundle, state, lay, x, labels):
+    hr = state.heads[lay.label_slot]
+    hr.loss_weight = lay.loss_weight
+    if labels is not None:
+        if lay.label_slot not in labels:
+            raise TrainError(f"no labels for category {lay.label_slot!r}")
+        hr.loss, hr.probs, hr.grad_logits = softmax_cross_entropy(hr.logits, labels[lay.label_slot])
+
+
+def _accuracy_forward(bundle, state, lay, x, labels):
+    if labels is not None:
+        hr = state.heads[lay.label_slot]
+        hr.accuracy = top1_accuracy(hr.logits, labels[lay.label_slot])
+
+
+# kind -> (forward, backward). forward(bundle, state, lay, x, labels) returns the output, None for a
+# metric sink; backward(bundle, state, lay, x, grad_out) returns the input gradient, then the weight and
+# bias gradients of a parameterised kind. Ops are looked up by name at each call, never stored, so the
+# function this module's attribute holds at call time (a tracer's wrapper, say) is what runs.
+_LAYER_OPS = {
+    "input": (lambda bundle, state, lay, x, labels: x, None),
+    "conv": (
+        lambda bundle, state, lay, x, labels: conv2d_forward(x, bundle.params[lay.name], lay.stride, lay.pad),
+        lambda bundle, state, lay, x, g: conv2d_backward(x, bundle.params[lay.name], g, lay.stride, lay.pad),
+    ),
+    "relu": (lambda bundle, state, lay, x, labels: relu(x), lambda bundle, state, lay, x, g: (relu_backward(x, g),)),
+    "maxpool": (_maxpool_forward, lambda bundle, state, lay, x, g: (maxpool2d_backward(state.pool_maps[lay.name], g),)),
+    "gavgpool": (
+        lambda bundle, state, lay, x, labels: global_avgpool(x),
+        lambda bundle, state, lay, x, g: (global_avgpool_backward(x.shape, g),),
+    ),
+    "fc": (_fc_forward, lambda bundle, state, lay, x, g: fully_connected_backward(x, bundle.params[lay.name], g)),
+    "loss": (_loss_forward, None),
+    "accuracy": (_accuracy_forward, None),
+}
+
+
 def forward_all(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray] | None = None) -> ForwardState:
     """Runs the graph once; with labels, fills per-head loss, accuracy, and logit gradients."""
     spec = bundle.spec
     n, c, h, w = images.shape
     if (c, h, w) != spec.input_shape:
         raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    acts: dict[str, Tensor] = {}
-    pool_maps: dict[str, PoolIndexMap] = {}
-    heads: dict[str, HeadResult] = {}
-
+    state = ForwardState({}, {}, {}, n)
     for lay in spec.layers:
-        if lay.kind == "input":
-            acts[lay.name] = images
-        elif lay.kind == "conv":
-            acts[lay.name] = conv2d_forward(acts[lay.inputs[0]], bundle.params[lay.name], lay.stride, lay.pad)
-        elif lay.kind == "relu":
-            acts[lay.name] = relu(acts[lay.inputs[0]])
-        elif lay.kind == "maxpool":
-            acts[lay.name], pool_maps[lay.name] = maxpool2d(acts[lay.inputs[0]], lay.kernel, lay.stride)
-        elif lay.kind == "gavgpool":
-            acts[lay.name] = global_avgpool(acts[lay.inputs[0]])
-        elif lay.kind == "fc":
-            acts[lay.name] = fully_connected(acts[lay.inputs[0]], bundle.params[lay.name])
-            if lay.head_tag is not None:
-                heads[lay.head_tag] = HeadResult(lay.head_tag, lay.name, acts[lay.name], 1.0)
-        elif lay.kind == "loss":
-            hr = heads[lay.label_slot]
-            hr.loss_weight = lay.loss_weight
-            if labels is not None:
-                if lay.label_slot not in labels:
-                    raise TrainError(f"no labels for category {lay.label_slot!r}")
-                hr.loss, hr.probs, hr.grad_logits = softmax_cross_entropy(hr.logits, labels[lay.label_slot])
-        elif lay.kind == "accuracy":
-            if labels is not None:
-                hr = heads[lay.label_slot]
-                hr.accuracy = top1_accuracy(hr.logits, labels[lay.label_slot])
-    return ForwardState(acts, pool_maps, heads, n)
+        x = state.activations[lay.inputs[0]] if lay.inputs else images
+        out = _LAYER_OPS[lay.kind][0](bundle, state, lay, x, labels)
+        if out is not None:
+            state.activations[lay.name] = out
+    return state
 
 
 def _has_unfrozen_below(bundle: ModelBundle) -> dict[str, bool]:
     """For each layer: does it or anything feeding it hold unfrozen parameters?"""
     table: dict[str, bool] = {}
     for lay in bundle.spec.layers:
-        own = lay.kind in ("conv", "fc") and not bundle.params[lay.name].frozen
+        own = lay.has_params and not bundle.params[lay.name].frozen
         below = table[lay.inputs[0]] if lay.inputs else False
         table[lay.name] = own or below
     return table
@@ -159,41 +183,20 @@ def backward_multi(
         out_grads[name] = out_grads[name] + g if name in out_grads else g
 
     for lay in reversed(spec.layers):
-        if lay.name not in out_grads or lay.kind == "input":
+        backward = _LAYER_OPS[lay.kind][1]
+        if lay.name not in out_grads or backward is None:
             continue
         g = Tensor(out_grads.pop(lay.name))
         src = lay.inputs[0]
-        if lay.kind in ("conv", "fc"):
-            params = bundle.params[lay.name]
-            if params.frozen and not reach[src]:
-                continue
-            if lay.kind == "conv":
-                gx, gw, gb = conv2d_backward(state.activations[src], params, g, lay.stride, lay.pad)
-            else:
-                gx, gw, gb = fully_connected_backward(state.activations[src], params, g)
-            if not params.frozen:
-                _accumulate_params(param_grads, lay.name, gw, gb)
-            gi = gx.data if reach[src] else None
-        elif lay.kind == "relu":
-            gi = relu_backward(state.activations[src], g).data if reach[src] else None
-        elif lay.kind == "maxpool":
-            gi = maxpool2d_backward(state.pool_maps[lay.name], g).data if reach[src] else None
-        elif lay.kind == "gavgpool":
-            shape = (state.batch_size, *state.activations[src].shape[1:])
-            gi = global_avgpool_backward(shape, g).data if reach[src] else None
-        else:
+        trains = lay.has_params and not bundle.params[lay.name].frozen
+        if not (trains or reach[src]):
             continue
-        if gi is not None:
-            out_grads[src] = out_grads[src] + gi if src in out_grads else gi
+        gx, *weight_grads = backward(bundle, state, lay, state.activations[src], g)
+        if trains:  # each layer is visited once, so its gradients are final here
+            param_grads[lay.name] = tuple(weight_grads)
+        if reach[src]:
+            out_grads[src] = out_grads[src] + gx.data if src in out_grads else gx.data
     return param_grads
-
-
-def _accumulate_params(store, name, gw: Tensor, gb: np.ndarray) -> None:
-    if name in store:
-        old_w, old_b = store[name]
-        store[name] = (Tensor(old_w.data + gw.data), old_b + gb)
-    else:
-        store[name] = (gw, gb)
 
 
 def loss_head_grads(state: ForwardState) -> dict[str, np.ndarray]:
@@ -237,7 +240,7 @@ def split_entries(
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, e in enumerate(entries):
         groups.setdefault(e.labels, []).append(i)
-    rng = np.random.default_rng(np.random.SeedSequence((seed & _SEED_MASK, 0x5350)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed & SEED_MASK, 0x5350)))
     train_idx: list[int] = []
     val_idx: list[int] = []
     for combo in groups:
@@ -307,6 +310,12 @@ def _manifest_view(bundle: ModelBundle, entries: list[ManifestEntry], manifest_c
     return cats
 
 
+def _check_finite(losses: dict[str, float], where: str) -> None:
+    for c, loss in losses.items():
+        if not np.isfinite(loss):
+            raise TrainError(f"training diverged in {where}: head {c} loss is {loss}")
+
+
 def train(
     bundle: ModelBundle,
     entries: list[ManifestEntry],
@@ -314,6 +323,9 @@ def train(
     manifest_categories=None,
 ) -> tuple[ModelBundle, TrainLog]:
     """SGD with momentum on the unfrozen layers; returns the mutated bundle and the log.
+
+    A loss that is not finite, on a training batch or on the validation side,
+    raises TrainError naming the epoch, the batch and the head.
 
     `manifest_categories` describes the label columns of `entries` when they
     carry more categories than the model trains on; the split is computed on
@@ -331,7 +343,7 @@ def train(
     val_images = load_images(val_set) if val_set else None
     val_labels = _label_arrays(val_set, cats) if val_set else None
 
-    epoch_seeds = np.random.SeedSequence((config.seed & _SEED_MASK, 0x45)).generate_state(
+    epoch_seeds = np.random.SeedSequence((config.seed & SEED_MASK, 0x45)).generate_state(
         max(config.epochs, 1), dtype=np.uint64
     )
     velocity: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -340,24 +352,28 @@ def train(
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        order = epoch_order(n_train, int(epoch_seeds[epoch - 1]), shuffle=True)
+        order = epoch_order(n_train, int(epoch_seeds[epoch - 1]))
         sums = {c: 0.0 for c in cats.names}
         hits = {c: 0.0 for c in cats.names}
-        for start in range(0, n_train, config.batch_size):
+        starts = range(0, n_train, config.batch_size)
+        for batch, start in enumerate(starts, start=1):
             idx = order[start : start + config.batch_size]
             images = Tensor(train_images.data[idx])
             labels = {c: train_labels[c][idx] for c in cats.names}
             state = forward_all(bundle, images, labels)
+            losses = {c: state.heads[c].loss for c in cats.names}
+            _check_finite(losses, f"epoch {epoch}, batch {batch} of {len(starts)}")
             grads = backward_multi(bundle, state, loss_head_grads(state))
             sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
             for c in cats.names:
-                sums[c] += state.heads[c].loss * len(idx)
+                sums[c] += losses[c] * len(idx)
                 hits[c] += state.heads[c].accuracy * len(idx)
         train_loss = {c: sums[c] / n_train for c in cats.names}
         train_acc = {c: hits[c] / n_train for c in cats.names}
         if val_images is not None:
             val_metrics = _evaluate_arrays(bundle, val_images, val_labels)
             val_loss = {c: val_metrics[c][0] for c in cats.names}
+            _check_finite(val_loss, f"epoch {epoch}, validation")
             val_acc = {c: val_metrics[c][1] for c in cats.names}
         else:
             val_loss = {c: float("nan") for c in cats.names}

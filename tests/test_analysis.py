@@ -12,7 +12,6 @@ from mhforge.analysis import (
     class_coverage,
     compare_variants,
     count_macc,
-    count_params,
     estimate_size,
     render_csv,
     render_json,
@@ -94,14 +93,14 @@ class TestMacc:
 class TestParams:
     def test_heads_on_1024(self):
         spec = attach_heads(parse_netspec(WIDE), cats_wide(), "data")
-        b = count_params(spec)
+        b = count_macc(spec)
         assert b.params_total == 57400
         # cross-check against actual parameter array sizes
         bundle = new_bundle(spec)
         assert b.params_total == sum(p.weights.size + p.bias.size for p in bundle.params.values())
 
     def test_one_by_one_conv(self):
-        b = count_params(parse_netspec("input name=d shape=1x2x2\nconv name=c in=d out_channels=1 kernel=1\n"))
+        b = count_macc(parse_netspec("input name=d shape=1x2x2\nconv name=c in=d out_channels=1 kernel=1\n"))
         assert b.params_total == 2
 
     def test_two_model_sum_identity(self):
@@ -109,9 +108,9 @@ class TestParams:
             "input name=d shape=1x8x8\nconv name=c1 in=d out_channels=2 kernel=3 pad=1\ngavgpool name=g in=c1\n"
         )
         cats = LabelCategories(("a", "b"), (("x", "y", "z"), ("p", "q")))
-        proposed = count_params(attach_heads(backbone, cats, "g"))
-        pair = [count_params(s) for s in build_two_model(backbone, cats, "g")]
-        backbone_params = count_params(backbone).params_total
+        proposed = count_macc(attach_heads(backbone, cats, "g"))
+        pair = [count_macc(s) for s in build_two_model(backbone, cats, "g")]
+        backbone_params = count_macc(backbone).params_total
         head_params = sum(b.params_total - backbone_params for b in pair)
         assert sum(b.params_total for b in pair) == 2 * backbone_params + head_params
         assert proposed.params_total == backbone_params + head_params

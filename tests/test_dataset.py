@@ -14,7 +14,6 @@ from mhforge.dataset import (
     glyph_mask,
     load_images,
     load_pgm,
-    make_batches,
     parse_categories,
     parse_manifest,
     project_entries,
@@ -239,38 +238,8 @@ class TestBatches:
             entries.append(ManifestEntry(str(tmp_path / name), (i % 2, i % 3)))
         return entries, cats
 
-    def test_batch_sizes(self, tmp_path):
-        entries, _ = self.write_set(tmp_path, 10)
-        batches = make_batches(entries, 4)
-        assert [b[0].shape[0] for b in batches] == [4, 4, 2]
-
-    def test_no_shuffle_preserves_order(self, tmp_path):
-        entries, _ = self.write_set(tmp_path, 6)
-        batches = make_batches(entries, 3, shuffle=False)
-        labs_a = np.concatenate([b[1][0] for b in batches])
-        assert labs_a.tolist() == [e.labels[0] for e in entries]
-
-    def test_shuffle_deterministic(self, tmp_path):
-        entries, _ = self.write_set(tmp_path, 10)
-        one = make_batches(entries, 4, seed=5, shuffle=True)
-        two = make_batches(entries, 4, seed=5, shuffle=True)
-        for (xa, la), (xb, lb) in zip(one, two):
-            assert np.array_equal(xa.data, xb.data)
-            for a, b in zip(la, lb):
-                assert np.array_equal(a, b)
-
-    def test_shuffle_partitions_exactly(self, tmp_path):
-        entries, _ = self.write_set(tmp_path, 10)
-        batches = make_batches(entries, 4, seed=1, shuffle=True)
-        labs = np.concatenate([b[1][1] for b in batches])
-        assert sorted(labs.tolist()) == sorted(e.labels[1] for e in entries)
-
     def test_pixel_scaling(self, tmp_path):
         entries, _ = self.write_set(tmp_path, 3)
         t = load_images(entries)
         assert t.shape == (3, 1, 6, 6)
         assert abs(t.data[2, 0, 0, 0] - 2 / 255.0) < 1e-12
-
-    def test_empty_entries(self):
-        with pytest.raises(DataError, match="no entries"):
-            make_batches([], 4)

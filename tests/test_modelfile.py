@@ -136,6 +136,14 @@ class TestSaveLoad:
         assert save_model(b, path) == header_bytes(spec)
         assert load_model(path).params == {}
 
+    def test_save_refuses_weights_float32_cannot_hold(self, tmp_path):
+        b = small_bundle()
+        b.params["head_b"].weights.data[1, 0, 0, 0] = 1e40  # finite in float64, inf in float32
+        path = tmp_path / "m.mhf"
+        with pytest.raises(ModelFileError, match="layer head_b: weights or bias are not finite"):
+            save_model(b, str(path))
+        assert not path.exists()
+
     def test_load_rebinds_categories(self, tmp_path):
         b = small_bundle()
         path = str(tmp_path / "m.mhf")
@@ -182,4 +190,15 @@ class TestCorruption:
         p = self.saved(tmp_path)
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(ModelFileError, match="2 trailing bytes"):
+            load_model(str(p))
+
+    @pytest.mark.parametrize("layer,value", [("c1", float("nan")), ("head_b", float("inf"))])
+    def test_non_finite_parameter_names_its_layer(self, tmp_path, layer, value):
+        p = self.saved(tmp_path)
+        blob = bytearray(p.read_bytes())
+        # the first weight of c1 opens the payload; the last bias of head_b closes the file
+        at = header_bytes(small_bundle().spec) if layer == "c1" else len(blob) - 4
+        blob[at : at + 4] = struct.pack("<f", value)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match=f"layer {layer} holds non-finite weights or bias"):
             load_model(str(p))

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from helpers import finite_diff, rel_err
 from mhforge.dataset import LabelCategories, ManifestEntry, project_entries, save_pgm
 from mhforge.errors import MhforgeError
 from mhforge.modelfile import new_bundle
-from mhforge.netspec import bind_categories, parse_netspec
+from mhforge.netspec import KINDS, bind_categories, parse_netspec
 from mhforge.surgery import attach_heads, build_hard_coded, build_two_model, convert_manifest_hc, hc_encode
 from mhforge.tensor_ops import LayerParams, Tensor
 from mhforge.training import (
@@ -98,6 +99,12 @@ class TestTrainConfig:
 
 
 class TestForwardAll:
+    def test_every_layer_kind_has_its_ops(self):
+        from mhforge.training import _LAYER_OPS
+
+        assert list(_LAYER_OPS) == list(KINDS)
+        assert {k for k, (_, backward) in _LAYER_OPS.items() if backward is None} == {"input", "loss", "accuracy"}
+
     def test_activation_and_head_inventory(self):
         bundle = make_bundle()
         images, labels = make_batch()
@@ -449,6 +456,17 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainError, match="dataset is empty"):
             train(pixel_bundle(), [], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize(
+        "batch_size,where",
+        [(2, r"epoch 1, batch [1-8] of 8"), (8, r"epoch 1, validation")],  # 18 training images
+        ids=["batch", "validation"],
+    )
+    def test_diverging_loss_names_epoch_batch_and_head(self, pixel_dataset, batch_size, where):
+        config = TrainConfig(epochs=2, batch_size=batch_size, learning_rate=1e308, seed=5, split_fraction=0.75)
+        with np.errstate(all="ignore"), pytest.raises(TrainError) as raised:
+            train(pixel_bundle(), pixel_dataset, config)
+        assert re.fullmatch(rf"training diverged in {where}: head (row|col) loss is (inf|nan)", str(raised.value))
 
     def test_label_arity_mismatch_rejected(self, pixel_dataset):
         bad = [ManifestEntry(pixel_dataset[0].image_path, (0,))]
