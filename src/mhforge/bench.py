@@ -16,6 +16,7 @@ import numpy as np
 
 from .analysis import ComparisonReport, render_csv, render_json, render_text
 from .errors import MhforgeError
+from .fileio import write_atomic
 from .modelfile import ModelBundle
 from .tensor_ops import Tensor
 from .training import predict_ids
@@ -97,7 +98,4 @@ def emit_report(report: ComparisonReport, fmt: str, path: str) -> int:
     renderers = {"text": render_text, "json": render_json, "csv": render_csv}
     if fmt not in renderers:
         raise BenchError(f"format must be one of {sorted(renderers)}, got {fmt!r}")
-    payload = renderers[fmt](report).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(payload)
-    return len(payload)
+    return write_atomic(path, [renderers[fmt](report).encode("utf-8")])

@@ -40,6 +40,7 @@ from .dataset import (
     with_base,
 )
 from .errors import MhforgeError
+from .fileio import write_atomic
 from .modelfile import load_model, new_bundle, save_model
 from .netspec import bind_categories, parse_netspec, serialize_netspec
 from .tensor_ops import Tensor
@@ -61,8 +62,7 @@ VARIANT_FLAGS = {"proposed": PROPOSED, "2m": TWO_MODEL, "hc": HARD_CODED}
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    write_atomic(path, [text.encode("utf-8")])
 
 
 def _write_json(path: str, payload) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import LabelCategories
 from .errors import MhforgeError
+from .fileio import write_atomic
 from .netspec import NetworkSpec, bind_categories, parse_netspec, serialize_netspec, weight_shapes
 from .tensor_ops import SEED_MASK, LayerParams, Tensor, init_params
 
@@ -126,7 +127,9 @@ def header_bytes(spec: NetworkSpec) -> int:
 def save_model(bundle: ModelBundle, path: str) -> int:
     """Writes the bundle; returns the byte count, which always equals the file length.
 
-    Refuses, before the file is opened, parameters that are not finite as float32.
+    Refuses, before anything is written, parameters that are not finite as
+    float32. The file is replaced whole (see fileio.write_atomic): a failed
+    save leaves the previous file as it was.
     """
     spec_text = serialize_netspec(bundle.spec).encode("utf-8")
     maps_text = serialize_label_maps(bundle.label_maps).encode("utf-8")
@@ -138,15 +141,15 @@ def save_model(bundle: ModelBundle, path: str) -> int:
         if not all(np.isfinite(a).all() for a in arrays):
             raise ModelFileError(f"layer {lay.name}: weights or bias are not finite as float32; nothing written")
         payload += [a.tobytes() for a in arrays]
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", bundle.format_version))
-        f.write(struct.pack("<I", len(spec_text)))
-        f.write(spec_text)
-        f.write(struct.pack("<I", len(maps_text)))
-        f.write(maps_text)
-        f.writelines(payload)
-        return f.tell()
+    header = [
+        MAGIC,
+        struct.pack("<I", bundle.format_version),
+        struct.pack("<I", len(spec_text)),
+        spec_text,
+        struct.pack("<I", len(maps_text)),
+        maps_text,
+    ]
+    return write_atomic(path, header + payload)
 
 
 def load_model(path: str) -> ModelBundle:

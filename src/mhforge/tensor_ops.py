@@ -7,6 +7,7 @@ tensors are treated as immutable except for explicit optimizer updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -171,39 +172,64 @@ def conv2d_backward(
     return Tensor(gx), Tensor(grad_w), grad_bias
 
 
-@dataclass(frozen=True)
-class PoolIndexMap:
-    """Argmax bookkeeping from a maxpool forward pass.
-
-    `indices[n, c, oh, ow]` is the flat spatial index (h*W + w) of the
-    element each window selected; ties go to the lowest flat index.
-    """
-
-    input_shape: Shape4
-    kernel: int
-    stride: int
-    indices: np.ndarray
-
-
-def maxpool2d(input: Tensor, k: int, stride: int) -> tuple[Tensor, PoolIndexMap]:
-    """Max over each k x k window; also returns the per-window argmax map for the backward pass."""
-    if k < 1 or stride < 1:
-        raise ShapeMismatch(f"kernel and stride must be >= 1, got k={k}, stride={stride}")
-    n, c, h, w = input.shape
-    if k > h or k > w:
-        raise ShapeMismatch(f"pool window {k}x{k} exceeds spatial dims {h}x{w}")
+def _pool_argmax(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Flat spatial index (h*W + w) of each window's first maximum, as an (N, C, Hout, Wout) int64 array."""
+    n, c, h, w = x.shape
     hout = window_out_dim(h, k, stride)
     wout = window_out_dim(w, k, stride)
-    win = _windows(input.data, k, stride)
-    flat = win.reshape(n, c, hout, wout, k * k)
-    local = flat.argmax(axis=-1)  # first occurrence wins: lowest flat index
-    out = np.take_along_axis(flat, local[..., None], axis=-1)[..., 0]
+    local = _windows(x, k, stride).reshape(n, c, hout, wout, k * k).argmax(axis=-1)  # lowest flat index wins
     oh = np.arange(hout)[None, None, :, None]
     ow = np.arange(wout)[None, None, None, :]
     abs_h = oh * stride + local // k
     abs_w = ow * stride + local % k
-    idx = (abs_h * w + abs_w).astype(np.int64)
-    return Tensor(out), PoolIndexMap((n, c, h, w), k, stride, idx)
+    return (abs_h * w + abs_w).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class PoolIndexMap:
+    """Argmax bookkeeping for the backward pass of one maxpool forward pass.
+
+    Holds the forward input itself, which must not change afterwards.
+    `indices[n, c, oh, ow]` is the flat spatial index (h*W + w) of the
+    element each window selected; ties go to the lowest flat index. It is
+    built on first read, so a pool that backward never reaches never builds it.
+    """
+
+    input: Tensor
+    kernel: int
+    stride: int
+
+    @property
+    def input_shape(self) -> Shape4:
+        return self.input.shape
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return _pool_argmax(self.input.data, self.kernel, self.stride)
+
+
+def maxpool2d(input: Tensor, k: int, stride: int) -> tuple[Tensor, PoolIndexMap]:
+    """Max over each k x k window; also returns the argmax map the backward pass reads.
+
+    The max is taken over the k*k strided slices, one window offset at a time.
+    The running max is the second operand of np.maximum, which returns that
+    operand on ties, so the earliest window element wins, signed zeros included,
+    exactly as the argmax map records it.
+    """
+    if k < 1 or stride < 1:
+        raise ShapeMismatch(f"kernel and stride must be >= 1, got k={k}, stride={stride}")
+    _, _, h, w = input.shape
+    if k > h or k > w:
+        raise ShapeMismatch(f"pool window {k}x{k} exceeds spatial dims {h}x{w}")
+    hspan = (window_out_dim(h, k, stride) - 1) * stride + 1
+    wspan = (window_out_dim(w, k, stride) - 1) * stride + 1
+    x = input.data
+    out = x[:, :, :hspan:stride, :wspan:stride].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(x[:, :, i : i + hspan : stride, j : j + wspan : stride], out, out=out)
+    return Tensor(out), PoolIndexMap(input, k, stride)
 
 
 def maxpool2d_backward(pool_map: PoolIndexMap, grad_out: Tensor) -> Tensor:

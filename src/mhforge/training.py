@@ -310,6 +310,11 @@ def _manifest_view(bundle: ModelBundle, entries: list[ManifestEntry], manifest_c
     return cats
 
 
+def _quiet_fp() -> np.errstate:
+    """Floating-point overflow, invalid values and division by zero pass without a numpy warning."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _check_finite(losses: dict[str, float], where: str) -> None:
     for c, loss in losses.items():
         if not np.isfinite(loss):
@@ -360,18 +365,21 @@ def train(
             idx = order[start : start + config.batch_size]
             images = Tensor(train_images.data[idx])
             labels = {c: train_labels[c][idx] for c in cats.names}
-            state = forward_all(bundle, images, labels)
-            losses = {c: state.heads[c].loss for c in cats.names}
-            _check_finite(losses, f"epoch {epoch}, batch {batch} of {len(starts)}")
-            grads = backward_multi(bundle, state, loss_head_grads(state))
-            sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
+            # a diverging step overflows silently: the finite-loss check is its one report
+            with _quiet_fp():
+                state = forward_all(bundle, images, labels)
+                losses = {c: state.heads[c].loss for c in cats.names}
+                _check_finite(losses, f"epoch {epoch}, batch {batch} of {len(starts)}")
+                grads = backward_multi(bundle, state, loss_head_grads(state))
+                sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
             for c in cats.names:
                 sums[c] += losses[c] * len(idx)
                 hits[c] += state.heads[c].accuracy * len(idx)
         train_loss = {c: sums[c] / n_train for c in cats.names}
         train_acc = {c: hits[c] / n_train for c in cats.names}
         if val_images is not None:
-            val_metrics = _evaluate_arrays(bundle, val_images, val_labels)
+            with _quiet_fp():
+                val_metrics = _evaluate_arrays(bundle, val_images, val_labels)
             val_loss = {c: val_metrics[c][0] for c in cats.names}
             _check_finite(val_loss, f"epoch {epoch}, validation")
             val_acc = {c: val_metrics[c][1] for c in cats.names}
@@ -433,7 +441,8 @@ def evaluate_hc(
 
     Per-category accuracy compares the decoded argmax combination componentwise;
     per-category loss is the negative log of the marginal probability mass the
-    model puts on the true class within that category.
+    model puts on the true class within that category, taken by log-sum-exp over
+    the logits so that it stays finite where the softmax underflows to zero.
     """
     if not entries:
         raise TrainError("dataset is empty")
@@ -456,14 +465,18 @@ def evaluate_hc(
         hr = state.heads[cat_name]
         total_loss += hr.loss * (stop - start)
         total_hits += hr.accuracy * (stop - start)
-        pred_ids = hr.logits.data.reshape(stop - start, -1).argmax(axis=1)
-        decoded = combos[pred_ids]  # (batch, n_cats)
+        z = hr.logits.data.reshape(stop - start, -1)
+        decoded = combos[z.argmax(axis=1)]  # (batch, n_cats)
         cat_hits += (decoded == true_labels[start:stop]).sum(axis=0)
+        shifted = z - z.max(axis=1, keepdims=True)
+        log_total = np.log(np.exp(shifted).sum(axis=1))
         for k in range(categories.n):
-            # marginal probability mass on the true class within category k
+            # log of the marginal probability mass on the true class within category k
             sel = combos[None, :, k] == true_labels[start:stop, k][:, None]
-            mass = (hr.probs * sel).sum(axis=1)
-            cat_nll[k] += -np.log(mass).sum()
+            masked = np.where(sel, shifted, -np.inf)
+            top = masked.max(axis=1, keepdims=True)
+            log_mass = top[:, 0] + np.log(np.exp(masked - top).sum(axis=1))
+            cat_nll[k] += (log_total - log_mass).sum()
 
     per_category = {
         cat: (cat_nll[k] / n, cat_hits[k] / n) for k, cat in enumerate(categories.names)

@@ -47,6 +47,37 @@ def naive_fc(x, w, b):
     return out
 
 
+def naive_maxpool2d(x, k, stride):
+    """Scalar loops over every window: (max values, flat spatial index h*W + w of each window's first max).
+
+    A later element replaces the running max only when strictly greater, so
+    ties (0.0 against -0.0 included) keep the earliest element in row-major
+    window order.
+    """
+    n, c, h, w = x.shape
+    hout = (h - k) // stride + 1
+    wout = (w - k) // stride + 1
+    out = np.zeros((n, c, hout, wout))
+    idx = np.zeros((n, c, hout, wout), dtype=np.int64)
+    for ni in range(n):
+        for ci in range(c):
+            for oh in range(hout):
+                for ow in range(wout):
+                    best = None
+                    at = -1
+                    for kh in range(k):
+                        for kw in range(k):
+                            row = oh * stride + kh
+                            col = ow * stride + kw
+                            value = x[ni, ci, row, col]
+                            if best is None or value > best:
+                                best = value
+                                at = row * w + col
+                    out[ni, ci, oh, ow] = best
+                    idx[ni, ci, oh, ow] = at
+    return out, idx
+
+
 def finite_diff(fn, array, eps=1e-6):
     """Central-difference gradient of scalar fn() w.r.t. every element of array.
 

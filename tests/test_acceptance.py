@@ -50,6 +50,14 @@ gavgpool name=g in=p2
 FEATURE_1024 = "input name=feat shape=1024x1x1\n"
 
 
+# On a shared 2-CPU VM the CPU speed drifts in phases of one to several seconds,
+# which fall between the benches of a round: single-round merged/proposed ratios
+# ranged from 0.8 to 1.4 around a true ratio near 0.96. Resampling 108 recorded
+# rounds, the median of four rounds left [0.9, 1.1] in a quarter of the draws,
+# the median of sixteen in under 2%.
+BENCH_ROUNDS = 16
+
+
 def wide_categories():
     return LabelCategories(
         ("make", "kind"),
@@ -109,15 +117,15 @@ def pipeline(tmp_path_factory):
     # burst so the timed commands run under comparable conditions
     run_ok(["bench", "--model", f"{proposed}/model.mhf", "--variant", "warmup",
             "--out", str(root / "warmup")] + bench_common)
-    # four interleaved measurements per variant; taking each variant's best
-    # window suppresses drift that a single contiguous window would bake in
+    # interleaved rounds, one measurement per variant each; comparing variants
+    # within a round suppresses drift between the rounds
     bench_jobs = (
         ("proposed", [f"{proposed}/model.mhf"], proposed),
         ("two_model", [f"{two_model}/model_shape.mhf", f"{two_model}/model_position.mhf"], two_model),
         ("hard_coded", [f"{hard_coded}/model.mhf"], hard_coded),
     )
     bench_samples = {variant: [] for variant, _, _ in bench_jobs}
-    for _ in range(4):
+    for _ in range(BENCH_ROUNDS):
         for variant, models, out in bench_jobs:
             argv = ["bench"]
             for m in models:
@@ -304,13 +312,20 @@ def test_latency_ratios_match_structural_expectations(pipeline):
         assert stats["images"] == 100
         assert stats["runs"] >= 5
     samples = pipeline["bench_samples"]
-    assert all(len(totals) == 4 for totals in samples.values())
-    best = {variant: min(totals) for variant, totals in samples.items()}
-    two = best["two_model"] / best["proposed"]
-    merged = best["hard_coded"] / best["proposed"]
+    assert all(len(totals) == BENCH_ROUNDS for totals in samples.values())
+    # ratios within each interleaved round share its machine state; their median
+    # is not moved by one lucky or unlucky round
+    rounds = {variant: np.array(totals) / np.array(samples["proposed"]) for variant, totals in samples.items()}
+    two = float(np.median(rounds["two_model"]))
+    merged = float(np.median(rounds["hard_coded"]))
     assert 1.7 <= two <= 2.3, f"dedicated-pair ratio {two} from {samples}"
     assert 0.9 <= merged <= 1.1, f"merged-head ratio {merged} from {samples}"
-    note("latency ratios", f"two-model/proposed {two:.2f}, merged/proposed {merged:.2f}")
+    per_round = {variant: " ".join(f"{r:.3f}" for r in rounds[variant]) for variant in ("two_model", "hard_coded")}
+    note(
+        "latency ratios",
+        f"median two-model/proposed {two:.3f} (rounds {per_round['two_model']}), "
+        f"merged/proposed {merged:.3f} (rounds {per_round['hard_coded']})",
+    )
 
 
 def test_saved_sizes_equal_estimates_and_shared_model_halves_storage(pipeline):

@@ -23,7 +23,7 @@ from mhforge.tensor_ops import (
     top1_accuracy,
 )
 
-from helpers import finite_diff, naive_conv2d, naive_fc, rand_tensor, rel_err
+from helpers import finite_diff, naive_conv2d, naive_fc, naive_maxpool2d, rand_tensor, rel_err
 
 
 class TestTensor:
@@ -179,6 +179,58 @@ class TestMaxpool:
         _, pmap = maxpool2d(Tensor(x), 2, 2)
         gx = maxpool2d_backward(pmap, Tensor(g))
         assert rel_err(gx.data, finite_diff(scalar, x)) < 1e-6
+
+
+def pool_input(data, shape, seed=0):
+    rng = np.random.default_rng(seed)
+    if data == "random":
+        return rng.standard_normal(shape)
+    if data == "all_equal":
+        return np.full(shape, -1.5)
+    if data == "signed_zeros":
+        return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    # few distinct values, signed zeros among them: many ties inside each window
+    return rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), shape)
+
+
+class TestMaxpoolMatchesOracle:
+    """Byte-for-byte against the scalar loops: signed zeros and first-max ties count."""
+
+    @pytest.mark.parametrize("data", ["random", "all_equal", "signed_zeros", "few_values"])
+    @pytest.mark.parametrize(
+        "shape,k,stride",
+        [
+            ((2, 3, 8, 8), 2, 2),
+            ((2, 3, 9, 11), 2, 2),  # the floor drops the last row and column
+            ((2, 3, 9, 11), 2, 1),  # overlapping windows
+            ((2, 3, 9, 11), 3, 2),
+            ((2, 3, 10, 7), 3, 1),
+            ((1, 2, 5, 5), 1, 1),
+            ((2, 8, 34, 34), 2, 2),  # the acceptance backbone's first pool
+        ],
+    )
+    def test_values_and_indices(self, data, shape, k, stride):
+        x = pool_input(data, shape)
+        out, pmap = maxpool2d(Tensor(x), k, stride)
+        want, want_idx = naive_maxpool2d(x, k, stride)
+        assert out.data.tobytes() == want.tobytes()
+        assert pmap.indices.dtype == np.int64
+        assert np.array_equal(pmap.indices, want_idx)
+        assert pmap.input_shape == shape
+
+    def test_index_map_is_built_on_first_read_only(self, monkeypatch):
+        import mhforge.tensor_ops as tensor_ops_mod
+
+        calls = []
+        build = tensor_ops_mod._pool_argmax
+        monkeypatch.setattr(tensor_ops_mod, "_pool_argmax", lambda *args: calls.append(args) or build(*args))
+        t = Tensor(pool_input("random", (1, 2, 6, 6)))
+        _, pmap = maxpool2d(t, 2, 2)
+        assert calls == []
+        assert pmap.input is t
+        first = pmap.indices
+        assert pmap.indices is first
+        assert len(calls) == 1
 
 
 class TestGlobalAvgpool:

@@ -3,13 +3,15 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import finite_diff, rel_err
 
-from mhforge.dataset import LabelCategories, ManifestEntry, project_entries, save_pgm
+import mhforge.tensor_ops as tensor_ops_mod
+from mhforge.dataset import LabelCategories, ManifestEntry, load_images, project_entries, save_pgm
 from mhforge.errors import MhforgeError
 from mhforge.modelfile import new_bundle
 from mhforge.netspec import KINDS, bind_categories, parse_netspec
@@ -468,6 +470,19 @@ class TestTrain:
             train(pixel_bundle(), pixel_dataset, config)
         assert re.fullmatch(rf"training diverged in {where}: head (row|col) loss is (inf|nan)", str(raised.value))
 
+    @pytest.mark.parametrize(
+        "batch_size,where",
+        [(2, r"epoch 1, batch [1-8] of 8"), (8, r"epoch 1, validation")],
+        ids=["batch", "validation"],
+    )
+    def test_diverging_loss_is_the_one_report(self, pixel_dataset, batch_size, where):
+        # no numpy RuntimeWarning (overflow, invalid value) comes before the TrainError
+        config = TrainConfig(epochs=2, batch_size=batch_size, learning_rate=1e308, seed=5, split_fraction=0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainError, match=rf"training diverged in {where}: head (row|col) loss is (inf|nan)"):
+                train(pixel_bundle(), pixel_dataset, config)
+
     def test_label_arity_mismatch_rejected(self, pixel_dataset):
         bad = [ManifestEntry(pixel_dataset[0].image_path, (0,))]
         with pytest.raises(TrainError, match="1 labels for 2 categories"):
@@ -552,6 +567,32 @@ class TestEvaluateHc:
             assert result.per_category[cat][1] == pytest.approx(want_cat_acc, abs=1e-10)
             assert result.per_category[cat][0] == pytest.approx(want_cat_loss, abs=1e-10)
 
+    def test_confident_wrong_prediction_has_finite_category_loss(self, pixel_dataset):
+        # every image gets logit 1000 on combination 0 and 0 elsewhere: where the true
+        # class differs from combination 0's, the softmax mass on it underflows to 0
+        backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
+        spec, hc_map = build_hard_coded(backbone, PIXEL_CATS, [e.labels for e in pixel_dataset], "feat")
+        bundle = new_bundle(spec, seed=0)
+        (head,) = spec.heads()
+        bundle.params[head.name].weights.data[:] = 0.0
+        bundle.params[head.name].bias[:] = 0.0
+        bundle.params[head.name].bias[0] = 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = evaluate_hc(bundle, pixel_dataset, hc_map, PIXEL_CATS)
+        for k, cat in enumerate(PIXEL_CATS.names):
+            winner = hc_map.combos[0][k]
+            # -log(sum of e^0 over the combinations holding the true class) + log(e^1000 + ...)
+            want = [
+                0.0 if e.labels[k] == winner else 1000.0 - math.log(sum(c[k] == e.labels[k] for c in hc_map.combos))
+                for e in pixel_dataset
+            ]
+            assert any(want)
+            assert result.per_category[cat][0] == pytest.approx(sum(want) / len(want), rel=1e-12)
+            assert result.per_category[cat][1] == pytest.approx(
+                np.mean([e.labels[k] == winner for e in pixel_dataset]), abs=1e-12
+            )
+
     def test_per_category_accuracy_at_least_combined(self, pixel_dataset):
         backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
         observed = [e.labels for e in pixel_dataset]
@@ -568,6 +609,75 @@ class TestEvaluateHc:
         )
         with pytest.raises(TrainError, match="dataset is empty"):
             evaluate_hc(new_bundle(spec, seed=0), [], hc_map, PIXEL_CATS)
+
+
+# only c1 is frozen, as in a finetune: backward reaches p2 but not p1
+FINETUNE_SHAPED = """\
+input name=img shape=1x8x8
+conv name=c1 in=img out_channels=2 kernel=3 pad=1 frozen=true
+relu name=r1 in=c1
+maxpool name=p1 in=r1 kernel=2
+conv name=c2 in=p1 out_channels=3 kernel=3 pad=1
+relu name=r2 in=c2
+maxpool name=p2 in=r2 kernel=2
+gavgpool name=g in=p2
+fc name=head_kind in=g out=3 head=kind in_features=3
+loss name=loss_kind in=head_kind label=kind
+accuracy name=acc_kind in=head_kind label=kind
+fc name=head_spot in=g out=2 head=spot in_features=3
+loss name=loss_spot in=head_spot label=spot
+accuracy name=acc_spot in=head_spot label=spot
+"""
+
+
+@pytest.fixture(scope="module")
+def square_dataset(tmp_path_factory):
+    """Random 4x4 images, three of each (kind, spot) combination."""
+    root = tmp_path_factory.mktemp("squares")
+    rng = np.random.default_rng(5)
+    entries = []
+    for i, combo in enumerate([(k, s) for k in range(3) for s in range(2)] * 3):
+        path = os.path.join(root, f"img_{i:03d}.pgm")
+        save_pgm(path, rng.uniform(0.0, 1.0, (4, 4)))
+        entries.append(ManifestEntry(path, combo))
+    return entries
+
+
+def built_pool_maps(state):
+    return [name for name, pool_map in state.pool_maps.items() if "indices" in vars(pool_map)]
+
+
+class TestPoolIndexMapsBuiltOnlyForBackward:
+    def test_frozen_backbone_paths_build_no_argmax_map(self, square_dataset, monkeypatch):
+        def bomb(*args):
+            raise AssertionError("a pool argmax map was built")
+
+        monkeypatch.setattr(tensor_ops_mod, "_pool_argmax", bomb)
+        backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
+        bundle = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
+        images = load_images(square_dataset)
+        state = forward_all(bundle, images)
+        assert set(state.pool_maps) == {"p1"} and built_pool_maps(state) == []
+        predict_ids(bundle, images)
+        evaluate(bundle, square_dataset)
+        train(bundle, square_dataset, TrainConfig(epochs=2, batch_size=4, seed=0))
+        spec, hc_map = build_hard_coded(backbone, CATS, [e.labels for e in square_dataset], "g")
+        evaluate_hc(new_bundle(spec, seed=3), square_dataset, hc_map, CATS)
+
+    def test_finetune_backward_builds_the_map_of_the_pool_it_reaches_once(self, monkeypatch):
+        built = []
+        build = tensor_ops_mod._pool_argmax
+        monkeypatch.setattr(tensor_ops_mod, "_pool_argmax", lambda x, *rest: built.append(x.shape) or build(x, *rest))
+        bundle = new_bundle(bind_categories(parse_netspec(FINETUNE_SHAPED), CATS), seed=4)
+        rng = np.random.default_rng(6)
+        images = Tensor(rng.uniform(0.0, 1.0, (5, 1, 8, 8)))
+        labels = {"kind": rng.integers(0, 3, 5), "spot": rng.integers(0, 2, 5)}
+        state = forward_all(bundle, images, labels)
+        assert built == [] and built_pool_maps(state) == []
+        grads = backward_multi(bundle, state, loss_head_grads(state))
+        assert set(grads) == {"c2", "head_kind", "head_spot"}
+        assert built_pool_maps(state) == ["p2"]
+        assert built == [(5, 3, 4, 4)]
 
 
 class TestPredictIds:
