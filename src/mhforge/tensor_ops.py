@@ -124,9 +124,11 @@ def _check_conv_args(input: Tensor, params: LayerParams, stride: int, pad: int) 
 
 
 def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    """Channels-last (N, H+2*pad, W+2*pad, C) copy of an (N, C, H, W) array, zero on the border."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    return xp
 
 
 def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -135,40 +137,75 @@ def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return win[:, :, ::stride, ::stride]
 
 
+# Images per block while the patch matrix is filled, so that a block's K*K strided
+# passes stay in cache. At batch 64 the acceptance backbone's conv forwards took
+# 15-30% less time with blocks of 8 than with one block (2-CPU Xeon VM, 2 MB L2).
+_PATCH_BLOCK = 8
+
+
+def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout: int) -> np.ndarray:
+    """C-contiguous (N*Hout*Wout, C*K*K) im2col matrix: one receptive field per row, columns in (c, kh, kw) order.
+
+    These are the values, order and layout np.tensordot copies the window view
+    into, so a GEMM on it adds the same products in the same order. (With a 1x1
+    kernel at stride 1 on one image, tensordot reshapes the view without a copy
+    and multiplies a column-major matrix instead.)
+    """
+    n, c = x.shape[:2]
+    xp = _padded(x, pad)
+    cols = np.empty((n, hout, wout, c, k, k))
+    for start in range(0, n, _PATCH_BLOCK):
+        rows = slice(start, start + _PATCH_BLOCK)
+        for kh in range(k):
+            for kw in range(k):
+                part = xp[rows, kh : kh + hout * stride : stride, kw : kw + wout * stride : stride]
+                cols[rows, :, :, :, kh, kw] = part
+    return cols.reshape(n * hout * wout, c * k * k)
+
+
 def conv2d_forward(input: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution: each output element is the receptive field dotted with the kernel, plus bias."""
+    """2-D convolution: each output element is the receptive field dotted with the kernel, plus bias.
+
+    One GEMM of the patch matrix with the (C*K*K, Cout) weight view, the
+    operands np.tensordot would build, so the result is bitwise tensordot's.
+    """
     cout, k, hout, wout, _ = _check_conv_args(input, params, stride, pad)
-    win = _windows(_padded(input.data, pad), k, stride)
-    out = np.tensordot(win, params.weights.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = out.transpose(0, 3, 1, 2) + params.bias[None, :, None, None]
+    n = input.shape[0]
+    cols = _patch_matrix(input.data, k, stride, pad, hout, wout)
+    res = np.dot(cols, params.weights.data.transpose(1, 2, 3, 0).reshape(-1, cout))
+    del cols  # freed before the output is allocated
+    out = np.empty((n, cout, hout, wout))
+    np.add(res.reshape(n, hout, wout, cout).transpose(0, 3, 1, 2), params.bias[:, None, None], out=out)
     return Tensor(out)
 
 
 def conv2d_backward(
     input: Tensor, params: LayerParams, grad_out: Tensor, stride: int = 1, pad: int = 0
 ) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Gradients of sum(grad_out * conv2d_forward(...)) w.r.t. input, weights, and bias."""
+    """Gradients of sum(grad_out * conv2d_forward(...)) w.r.t. input, weights, and bias.
+
+    Every GEMM gets the operands np.tensordot would build, so all three are
+    bitwise tensordot's; the input gradient adds the K*K offsets in (kh, kw) order.
+    """
     cout, k, hout, wout, cin = _check_conv_args(input, params, stride, pad)
     n, c, h, w = input.shape
     if grad_out.shape != (n, cout, hout, wout):
         raise ShapeMismatch(f"grad_out shape {grad_out.shape} != conv output shape {(n, cout, hout, wout)}")
     g = grad_out.data
-    xp = _padded(input.data, pad)
-    win = _windows(xp, k, stride)
 
     grad_bias = g.sum(axis=(0, 2, 3))
-    grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    cols = _patch_matrix(input.data, k, stride, pad, hout, wout)
+    grad_w = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, -1), cols).reshape(cout, cin, k, k)
+    del cols
 
-    gxp = np.zeros_like(xp)
+    g_rows = g.transpose(0, 2, 3, 1).reshape(-1, cout)  # (N*Hout*Wout, Cout)
+    gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))  # channels-last, like the padded input
     wdat = params.weights.data
     for kh in range(k):
         for kw in range(k):
-            # (N,Cout,Ho,Wo) x (Cout,Cin) -> (N,Ho,Wo,Cin)
-            contrib = np.tensordot(g, wdat[:, :, kh, kw], axes=([1], [0]))
-            gxp[:, :, kh : kh + hout * stride : stride, kw : kw + wout * stride : stride] += contrib.transpose(
-                0, 3, 1, 2
-            )
-    gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+            contrib = np.dot(g_rows, wdat[:, :, kh, kw]).reshape(n, hout, wout, cin)
+            gxp[:, kh : kh + hout * stride : stride, kw : kw + wout * stride : stride] += contrib
+    gx = gxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
     return Tensor(gx), Tensor(grad_w), grad_bias
 
 

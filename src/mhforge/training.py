@@ -37,6 +37,9 @@ from .tensor_ops import (
 )
 
 
+EVAL_CHUNK = 64  # images per forward pass in evaluation and validation
+
+
 class TrainError(MhforgeError):
     """Bad training inputs: label arity, empty data, config bounds."""
 
@@ -393,15 +396,15 @@ def train(
 
 
 def _evaluate_arrays(
-    bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray], chunk: int = 64
+    bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]
 ) -> dict[str, tuple[float, float]]:
     cats = bundle.spec.categories
     n = images.shape[0]
     sums = {c: 0.0 for c in cats.names}
     hits = {c: 0.0 for c in cats.names}
-    for start in range(0, n, chunk):
-        part = Tensor(images.data[start : start + chunk])
-        part_labels = {c: labels[c][start : start + chunk] for c in cats.names}
+    for start in range(0, n, EVAL_CHUNK):
+        part = Tensor(images.data[start : start + EVAL_CHUNK])
+        part_labels = {c: labels[c][start : start + EVAL_CHUNK] for c in cats.names}
         state = forward_all(bundle, part, part_labels)
         for c in cats.names:
             sums[c] += state.heads[c].loss * part.shape[0]
@@ -458,8 +461,8 @@ def evaluate_hc(
     combos = np.array(hc_map.combos, dtype=np.int64)  # (n_combos, n_cats)
     true_labels = np.array([e.labels for e in entries], dtype=np.int64)
 
-    for start in range(0, n, 64):
-        stop = min(start + 64, n)
+    for start in range(0, n, EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, n)
         part = Tensor(images.data[start:stop])
         state = forward_all(bundle, part, {cat_name: hc_ids[start:stop]})
         hr = state.heads[cat_name]

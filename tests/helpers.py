@@ -1,13 +1,28 @@
 """Slow reference implementations the fast code is checked against.
 
 Everything here trades speed for obviousness: plain Python loops,
-one arithmetic step per line, no numpy vectorization tricks.
+one arithmetic step per line, no numpy vectorization tricks. The one
+exception is the tensordot convolution, kept as the bitwise reference for
+the GEMM convolution that replaced it.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mhforge.netspec import validate_shapes
 from mhforge.tensor_ops import Tensor
+
+# the backbone the acceptance pipeline builds every variant from
+ACCEPTANCE_BACKBONE = """\
+input name=data shape=1x34x34
+conv name=c1 in=data out_channels=8 kernel=3 stride=1 pad=1
+relu name=r1 in=c1
+maxpool name=p1 in=r1 kernel=2 stride=2
+conv name=c2 in=p1 out_channels=16 kernel=3 stride=1 pad=1
+relu name=r2 in=c2
+maxpool name=p2 in=r2 kernel=2 stride=2
+gavgpool name=g in=p2
+"""
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -31,6 +46,71 @@ def naive_conv2d(x, w, b, stride, pad):
                                 acc += xp[ni, ci, oh * stride + kh, ow * stride + kw] * w[co, ci, kh, kw]
                     out[ni, co, oh, ow] = acc
     return out
+
+
+def _tensordot_windows(x, k, stride, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    return xp, sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def tensordot_conv2d_forward(input, params, stride=1, pad=0):
+    """The tensordot convolution conv2d_forward replaced, kept as its bitwise reference.
+
+    Same signature and result type as the op, so it can stand in for it.
+    """
+    k = params.weights.shape[2]
+    _, win = _tensordot_windows(input.data, k, stride, pad)
+    out = np.tensordot(win, params.weights.data, axes=([1, 4, 5], [1, 2, 3]))
+    out = out.transpose(0, 3, 1, 2) + params.bias[None, :, None, None]
+    return Tensor(out)
+
+
+def tensordot_conv2d_backward(input, params, grad_out, stride=1, pad=0):
+    """The tensordot gradients conv2d_backward replaced: (grad input, grad weights, grad bias)."""
+    k = params.weights.shape[2]
+    n, c, h, w = input.shape
+    _, _, hout, wout = grad_out.shape
+    g = grad_out.data
+    xp, win = _tensordot_windows(input.data, k, stride, pad)
+    grad_bias = g.sum(axis=(0, 2, 3))
+    grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    gxp = np.zeros_like(xp)
+    wdat = params.weights.data
+    for kh in range(k):
+        for kw in range(k):
+            # (N,Cout,Ho,Wo) x (Cout,Cin) -> (N,Ho,Wo,Cin)
+            contrib = np.tensordot(g, wdat[:, :, kh, kw], axes=([1], [0]))
+            gxp[:, :, kh : kh + hout * stride : stride, kw : kw + wout * stride : stride] += contrib.transpose(
+                0, 3, 1, 2
+            )
+    gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+    return Tensor(gx), Tensor(grad_w), grad_bias
+
+
+def naive_conv2d_backward(x, w, g, stride, pad):
+    """Gradients of sum(g * naive_conv2d(x, w, b, stride, pad)) by scalar loops: (gx, gw, gb)."""
+    n, c, h, wd = x.shape
+    cout, cin, k, _ = w.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros(cout)
+    _, _, hout, wout = g.shape
+    for ni in range(n):
+        for co in range(cout):
+            for oh in range(hout):
+                for ow in range(wout):
+                    go = g[ni, co, oh, ow]
+                    gb[co] += go
+                    for ci in range(cin):
+                        for kh in range(k):
+                            for kw in range(k):
+                                row = oh * stride + kh
+                                col = ow * stride + kw
+                                gw[co, ci, kh, kw] += go * xp[ni, ci, row, col]
+                                gxp[ni, ci, row, col] += go * w[co, ci, kh, kw]
+    return gxp[:, :, pad : pad + h, pad : pad + wd], gw, gb
 
 
 def naive_fc(x, w, b):

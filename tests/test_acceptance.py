@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import finite_diff, instrumented_forward_macc, random_spec_text
+from helpers import ACCEPTANCE_BACKBONE, finite_diff, instrumented_forward_macc, random_spec_text
 
 from mhforge.analysis import (
     class_coverage,
@@ -35,17 +35,6 @@ from mhforge.training import (
     sgd_step,
     split_entries,
 )
-
-BACKBONE = """\
-input name=data shape=1x34x34
-conv name=c1 in=data out_channels=8 kernel=3 stride=1 pad=1
-relu name=r1 in=c1
-maxpool name=p1 in=r1 kernel=2 stride=2
-conv name=c2 in=p1 out_channels=16 kernel=3 stride=1 pad=1
-relu name=r2 in=c2
-maxpool name=p2 in=r2 kernel=2 stride=2
-gavgpool name=g in=p2
-"""
 
 FEATURE_1024 = "input name=feat shape=1024x1x1\n"
 
@@ -79,7 +68,7 @@ def pipeline(tmp_path_factory):
     """Data generation, three builds, four trainings plus a repeat, evals, benches, report."""
     root = tmp_path_factory.mktemp("acceptance")
     backbone = root / "backbone.ns"
-    backbone.write_text(BACKBONE)
+    backbone.write_text(ACCEPTANCE_BACKBONE)
     data = root / "data"
     run_ok(["gen-data", "--out", str(data), "--image-size", "34", "--samples", "80",
             "--noise", "0.02", "--seed", "0"])

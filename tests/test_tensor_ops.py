@@ -1,5 +1,7 @@
 """Layer math against slow oracles, hand-worked cases, and finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,17 @@ from mhforge.tensor_ops import (
     top1_accuracy,
 )
 
-from helpers import finite_diff, naive_conv2d, naive_fc, naive_maxpool2d, rand_tensor, rel_err
+from helpers import (
+    finite_diff,
+    naive_conv2d,
+    naive_conv2d_backward,
+    naive_fc,
+    naive_maxpool2d,
+    rand_tensor,
+    rel_err,
+    tensordot_conv2d_backward,
+    tensordot_conv2d_forward,
+)
 
 
 class TestTensor:
@@ -124,6 +136,69 @@ class TestConvBackward:
         p = LayerParams(Tensor.zeros((1, 1, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
             conv2d_backward(x, p, Tensor.zeros((1, 1, 4, 4)), 1, 0)
+
+
+def conv_results(op_forward, op_backward, x, w, b, g, stride, pad):
+    """Forward output, then the input, weight and bias gradients, as float64 arrays."""
+    params = LayerParams(Tensor(w), b)
+    out = op_forward(Tensor(x), params, stride, pad)
+    gx, gw, gb = op_backward(Tensor(x), params, Tensor(g), stride, pad)
+    return out.data, gx.data, gw.data, gb
+
+
+def tensordot_hands_blas_a_view(n, cin, k, stride):
+    """With a 1x1 kernel at stride 1 and batch 1, tensordot's patch matrix is a column-major
+    view of the input, not a row-major copy; BLAS then runs another kernel, whose sums may
+    differ from the copy's in the last bits."""
+    return n == 1 and k == 1 and stride == 1 and cin > 1
+
+
+class TestConvMatchesTensordot:
+    """The GEMM convolution against the tensordot convolution it replaced, bit for bit.
+
+    Where tensordot hands BLAS a view (see tensordot_hands_blas_a_view), both are held
+    to the scalar-loop oracle and to each other within 1e-12 instead.
+    """
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_grid(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        h, w = 9, 7
+        mismatched = []
+        for cin, cout, stride, pad in itertools.product([1, 2, 8], [1, 4, 16], [1, 2], [0, 1, 2]):
+            x = rng.uniform(-1, 1, (n, cin, h, w))
+            wt = rng.uniform(-1, 1, (cout, cin, k, k))
+            b = rng.uniform(-1, 1, cout)
+            hout = (h + 2 * pad - k) // stride + 1
+            wout = (w + 2 * pad - k) // stride + 1
+            g = rng.uniform(-1, 1, (n, cout, hout, wout))
+            got = conv_results(conv2d_forward, conv2d_backward, x, wt, b, g, stride, pad)
+            ref = conv_results(tensordot_conv2d_forward, tensordot_conv2d_backward, x, wt, b, g, stride, pad)
+            if tensordot_hands_blas_a_view(n, cin, k, stride):
+                oracle = (naive_conv2d(x, wt, b, stride, pad),) + naive_conv2d_backward(x, wt, g, stride, pad)
+                for a, r, o in zip(got, ref, oracle):
+                    assert a.shape == o.shape
+                    assert np.max(np.abs(a - o)) < 1e-12
+                    assert np.max(np.abs(a - r)) < 1e-12
+                continue
+            names = [name for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref) if a.tobytes() != r.tobytes()]
+            if names:
+                mismatched.append((cin, cout, stride, pad, names))
+        assert mismatched == [], f"(cin, cout, stride, pad, results) not bitwise equal at n={n}, k={k}"
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("cin,h,cout", [(1, 34, 8), (8, 17, 16)], ids=["c1", "c2"])
+    def test_acceptance_shapes(self, n, cin, h, cout):
+        rng = np.random.default_rng(n + cin)
+        x = rng.uniform(0, 1, (n, cin, h, h))
+        wt = rng.standard_normal((cout, cin, 3, 3)) * np.sqrt(2.0 / (9 * cin))
+        b = rng.uniform(-0.1, 0.1, cout)
+        g = rng.uniform(-1, 1, (n, cout, h, h))
+        got = conv_results(conv2d_forward, conv2d_backward, x, wt, b, g, 1, 1)
+        ref = conv_results(tensordot_conv2d_forward, tensordot_conv2d_backward, x, wt, b, g, 1, 1)
+        for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref):
+            assert a.tobytes() == r.tobytes(), name
 
 
 class TestMaxpool:

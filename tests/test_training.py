@@ -1,5 +1,6 @@
 """Training loop tests: shared-traversal forward, accumulated backward, SGD, splits."""
 
+import dataclasses
 import math
 import os
 import re
@@ -8,12 +9,22 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import finite_diff, rel_err
+from helpers import ACCEPTANCE_BACKBONE, finite_diff, rel_err, tensordot_conv2d_backward, tensordot_conv2d_forward
 
 import mhforge.tensor_ops as tensor_ops_mod
-from mhforge.dataset import LabelCategories, ManifestEntry, load_images, project_entries, save_pgm
+import mhforge.training as training_mod
+from mhforge.dataset import (
+    LabelCategories,
+    ManifestEntry,
+    SyntheticConfig,
+    generate_synthetic,
+    load_images,
+    project_entries,
+    save_pgm,
+    with_base,
+)
 from mhforge.errors import MhforgeError
-from mhforge.modelfile import new_bundle
+from mhforge.modelfile import new_bundle, save_model
 from mhforge.netspec import KINDS, bind_categories, parse_netspec
 from mhforge.surgery import attach_heads, build_hard_coded, build_two_model, convert_manifest_hc, hc_encode
 from mhforge.tensor_ops import LayerParams, Tensor
@@ -678,6 +689,43 @@ class TestPoolIndexMapsBuiltOnlyForBackward:
         assert set(grads) == {"c2", "head_kind", "head_spot"}
         assert built_pool_maps(state) == ["p2"]
         assert built == [(5, 3, 4, 4)]
+
+
+class TestModelBytesMatchTensordotConv:
+    """Two epochs of training write the same model file with the GEMM convolution as with
+    the tensordot convolution it replaced; the float64 parameters are equal bit for bit too."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("synthetic"))
+        entries, cats = generate_synthetic(SyntheticConfig(samples_per_combo=3, seed=1), root)
+        return with_base(entries, root), cats
+
+    @staticmethod
+    def trained(spec, entries, path):
+        bundle, _ = train(new_bundle(spec, seed=0), entries, TrainConfig(epochs=2, learning_rate=0.3, seed=0))
+        save_model(bundle, str(path))
+        params = {name: (p.weights.data.tobytes(), p.bias.tobytes()) for name, p in bundle.params.items()}
+        return path.read_bytes(), params
+
+    # proposed: the acceptance backbone frozen under its heads; finetune-shaped: c2 trains too
+    @pytest.mark.parametrize("trained_convs", [(), ("c2",)], ids=["proposed", "finetune_shaped"])
+    def test_two_epochs(self, synthetic, trained_convs, monkeypatch, tmp_path):
+        entries, cats = synthetic
+        spec = attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), cats, "g")
+        layers = tuple(dataclasses.replace(l, frozen=False) if l.name in trained_convs else l for l in spec.layers)
+        spec = dataclasses.replace(spec, layers=layers)
+        got = self.trained(spec, entries, tmp_path / "gemm.mhf")
+
+        calls = []
+        for op, ref in (("conv2d_forward", tensordot_conv2d_forward), ("conv2d_backward", tensordot_conv2d_backward)):
+            monkeypatch.setattr(training_mod, op, lambda *a, op=op, ref=ref: calls.append(op) or ref(*a))
+        want = self.trained(spec, entries, tmp_path / "tensordot.mhf")
+
+        assert "conv2d_forward" in calls
+        assert ("conv2d_backward" in calls) == bool(trained_convs)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
 
 
 class TestPredictIds:
