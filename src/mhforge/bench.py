@@ -2,9 +2,9 @@
 
 One timing sample is one full pass over the list, image by image at batch
 size 1. A warm-up pass runs first and is excluded; its predictions become the
-reference that every timed run must reproduce exactly. For the two-model
-variant, pass the list of bundles: each image runs through all of them, and
-the total reflects both inferences, matching how that variant deploys.
+reference that every timed run must reproduce exactly. Each image runs
+through every bundle in the list; for the two-model variant, the total thus
+reflects both inferences, matching how that variant deploys.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ def _one_pass(bundles: list[ModelBundle], images: list[Tensor]) -> list[tuple[in
     return predictions
 
 
-def measure_latency(bundle_or_bundles, images: list[Tensor], repeats: int = 5, variant: str = "") -> LatencyStats:
+def measure_latency(
+    bundles: list[ModelBundle], images: list[Tensor], repeats: int = 5, variant: str = ""
+) -> LatencyStats:
     """Times `repeats` full passes; the warm-up pass is not counted."""
-    bundles = list(bundle_or_bundles) if isinstance(bundle_or_bundles, (list, tuple)) else [bundle_or_bundles]
     if not bundles:
         raise BenchError("no models to benchmark")
     if not images:

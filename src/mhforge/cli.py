@@ -241,7 +241,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     bundles = [load_model(p) for p in args.model]
     stacked = load_images(entries)
     images = [Tensor(stacked.data[i : i + 1]) for i in range(stacked.shape[0])]
-    stats = measure_latency(bundles if len(bundles) > 1 else bundles[0], images, args.repeats, args.variant)
+    stats = measure_latency(bundles, images, args.repeats, args.variant)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.model[0]))
     os.makedirs(out_dir, exist_ok=True)
     bench_path = os.path.join(out_dir, "bench.json")

@@ -8,7 +8,7 @@ gives a tiny multi-label task a small CNN can master in minutes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def serialize_categories(categories: LabelCategories) -> str:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One image path plus its per-category class indices."""
+    """One image path plus its per-category class ids."""
 
     image_path: str
     labels: tuple[int, ...]

@@ -84,16 +84,13 @@ class HcLabelMap:
     def index(self) -> dict[tuple[int, ...], int]:
         return {combo: i for i, combo in enumerate(self.combos)}
 
-    def __len__(self) -> int:
-        return len(self.combos)
-
 
 def hc_category_name(categories: LabelCategories) -> str:
     return "+".join(categories.names)
 
 
 def hc_categories(categories: LabelCategories, hc_map: HcLabelMap) -> LabelCategories:
-    """The single merged category whose class names are comma-joined label indices."""
+    """The single merged category whose class names are the comma-joined label combinations."""
     class_names = tuple(",".join(map(str, combo)) for combo in hc_map.combos)
     return LabelCategories((hc_category_name(categories),), (class_names,))
 
@@ -131,12 +128,6 @@ def hc_encode(hc_map: HcLabelMap, combo: tuple[int, ...]) -> int:
         raise SurgeryError(
             f"combination {tuple(combo)} was never observed; the hard-coded label space cannot express it"
         ) from None
-
-
-def hc_decode(hc_map: HcLabelMap, class_id: int) -> tuple[int, ...]:
-    if class_id < 0 or class_id >= len(hc_map.combos):
-        raise SurgeryError(f"HC class id {class_id} out of range [0, {len(hc_map.combos)})")
-    return hc_map.combos[class_id]
 
 
 def convert_manifest_hc(entries: list[ManifestEntry], hc_map: HcLabelMap) -> list[ManifestEntry]:

@@ -7,10 +7,8 @@ tensors are treated as immutable except for explicit optimizer updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MhforgeError
 
@@ -46,9 +44,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
 
@@ -59,14 +54,6 @@ class Tensor:
     @classmethod
     def full(cls, shape: Shape4, value: float) -> "Tensor":
         return cls(np.full(shape, float(value)))
-
-    @classmethod
-    def from_flat(cls, shape: Shape4, values) -> "Tensor":
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        n, c, h, w = shape
-        if arr.size != n * c * h * w:
-            raise ShapeMismatch(f"flat data has {arr.size} values, shape {shape} needs {n * c * h * w}")
-        return cls(arr.reshape(shape))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -129,12 +116,6 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     return xp
-
-
-def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # (N, C, Hout, Wout, K, K) view, no copy
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
 
 
 # Images per block while the patch matrix is filled, so that a block's K*K strided
@@ -209,78 +190,76 @@ def conv2d_backward(
     return Tensor(gx), Tensor(grad_w), grad_bias
 
 
-def _pool_argmax(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Flat spatial index (h*W + w) of each window's first maximum, as an (N, C, Hout, Wout) int64 array."""
-    n, c, h, w = x.shape
-    hout = window_out_dim(h, k, stride)
-    wout = window_out_dim(w, k, stride)
-    local = _windows(x, k, stride).reshape(n, c, hout, wout, k * k).argmax(axis=-1)  # lowest flat index wins
-    oh = np.arange(hout)[None, None, :, None]
-    ow = np.arange(wout)[None, None, None, :]
-    abs_h = oh * stride + local // k
-    abs_w = ow * stride + local % k
-    return (abs_h * w + abs_w).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class PoolIndexMap:
-    """Argmax bookkeeping for the backward pass of one maxpool forward pass.
+    """What the backward pass of one maxpool forward pass reads: its input and output tensors, kernel and stride.
 
-    Holds the forward input itself, which must not change afterwards.
-    `indices[n, c, oh, ow]` is the flat spatial index (h*W + w) of the
-    element each window selected; ties go to the lowest flat index. It is
-    built on first read, so a pool that backward never reaches never builds it.
+    Holds the tensors themselves, which must not change afterwards.
     """
 
     input: Tensor
+    output: Tensor
     kernel: int
     stride: int
 
-    @property
-    def input_shape(self) -> Shape4:
-        return self.input.shape
 
-    @cached_property
-    def indices(self) -> np.ndarray:
-        return _pool_argmax(self.input.data, self.kernel, self.stride)
+def _pool_views(x: np.ndarray, k: int, stride: int) -> list[np.ndarray]:
+    """The strided view of an (N, C, H, W) array at each k x k window offset, in row-major (i, j) order.
+
+    Element [oh, ow] of offset (i, j)'s view is element (i, j) of window (oh, ow).
+    """
+    _, _, h, w = x.shape
+    hspan = (window_out_dim(h, k, stride) - 1) * stride + 1
+    wspan = (window_out_dim(w, k, stride) - 1) * stride + 1
+    return [x[:, :, i : i + hspan : stride, j : j + wspan : stride] for i in range(k) for j in range(k)]
 
 
 def maxpool2d(input: Tensor, k: int, stride: int) -> tuple[Tensor, PoolIndexMap]:
-    """Max over each k x k window; also returns the argmax map the backward pass reads.
+    """Max over each k x k window; also returns the record the backward pass reads.
 
     The max is taken over the k*k strided slices, one window offset at a time.
     The running max is the second operand of np.maximum, which returns that
-    operand on ties, so the earliest window element wins, signed zeros included,
-    exactly as the argmax map records it.
+    operand on ties, so the earliest window element wins, signed zeros
+    included; a NaN propagates.
     """
     if k < 1 or stride < 1:
         raise ShapeMismatch(f"kernel and stride must be >= 1, got k={k}, stride={stride}")
     _, _, h, w = input.shape
     if k > h or k > w:
         raise ShapeMismatch(f"pool window {k}x{k} exceeds spatial dims {h}x{w}")
-    hspan = (window_out_dim(h, k, stride) - 1) * stride + 1
-    wspan = (window_out_dim(w, k, stride) - 1) * stride + 1
-    x = input.data
-    out = x[:, :, :hspan:stride, :wspan:stride].copy()
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                np.maximum(x[:, :, i : i + hspan : stride, j : j + wspan : stride], out, out=out)
-    return Tensor(out), PoolIndexMap(input, k, stride)
+    first, *rest = _pool_views(input.data, k, stride)
+    out = first.copy()
+    for part in rest:
+        np.maximum(part, out, out=out)
+    pooled = Tensor(out)
+    return pooled, PoolIndexMap(input, pooled, k, stride)
 
 
 def maxpool2d_backward(pool_map: PoolIndexMap, grad_out: Tensor) -> Tensor:
-    """Routes each grad_out element to its recorded argmax position; everything else gets zero."""
-    n, c, h, w = pool_map.input_shape
-    if grad_out.shape[:2] != (n, c) or grad_out.shape[2:] != pool_map.indices.shape[2:]:
-        raise ShapeMismatch(
-            f"grad_out shape {grad_out.shape} does not match pool map of {pool_map.indices.shape}"
-        )
-    gx = np.zeros((n * c, h * w))
-    rows = np.arange(n * c)[:, None]
-    idx = pool_map.indices.reshape(n * c, -1)
-    np.add.at(gx, (rows, idx), grad_out.data.reshape(n * c, -1))
-    return Tensor(gx.reshape(n, c, h, w))
+    """Routes each grad_out element to its window's first max (first NaN in a NaN window); everything else gets zero.
+
+    The window offsets are scanned in maxpool2d's order, and a window is
+    claimed by the first offset whose input equals the forward output. Claims
+    are then added in descending offset order, which is ascending window order
+    for any one input cell: where windows overlap (stride < k), a cell sums
+    its gradients window by window in ascending output order. Unclaimed cells
+    add 0.0, which changes no sum: a sum that starts at +0.0 is never -0.0.
+    """
+    x, out, k, stride = pool_map.input.data, pool_map.output.data, pool_map.kernel, pool_map.stride
+    if grad_out.shape != out.shape:
+        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != pool output shape {out.shape}")
+    gx = np.zeros(x.shape)
+    unclaimed = np.ones(out.shape, dtype=bool)
+    claims = []
+    for part, cells in zip(_pool_views(x, k, stride), _pool_views(gx, k, stride)):
+        hit = part == out
+        hit |= np.isnan(part)
+        hit &= unclaimed
+        unclaimed ^= hit
+        claims.append((cells, hit))
+    for cells, hit in reversed(claims):
+        cells += np.where(hit, grad_out.data, 0.0)
+    return Tensor(gx)
 
 
 def global_avgpool(input: Tensor) -> Tensor:

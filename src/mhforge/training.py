@@ -82,7 +82,7 @@ class HeadResult:
 
 @dataclass
 class ForwardState:
-    """Every activation of one traversal, shared by all heads, plus pool argmax maps."""
+    """Every activation of one traversal, shared by all heads, plus what each maxpool backward reads."""
 
     activations: dict[str, Tensor]
     pool_maps: dict[str, PoolIndexMap]

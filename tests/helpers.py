@@ -130,9 +130,10 @@ def naive_fc(x, w, b):
 def naive_maxpool2d(x, k, stride):
     """Scalar loops over every window: (max values, flat spatial index h*W + w of each window's first max).
 
-    A later element replaces the running max only when strictly greater, so
-    ties (0.0 against -0.0 included) keep the earliest element in row-major
-    window order.
+    A later element replaces the running max only when strictly greater, or
+    when it is a NaN and the running max is not. So ties (0.0 against -0.0
+    included) keep the earliest element in row-major window order, and a
+    window holding NaNs keeps its first NaN.
     """
     n, c, h, w = x.shape
     hout = (h - k) // stride + 1
@@ -150,12 +151,25 @@ def naive_maxpool2d(x, k, stride):
                             row = oh * stride + kh
                             col = ow * stride + kw
                             value = x[ni, ci, row, col]
-                            if best is None or value > best:
+                            if best is None or value > best or (value != value and best == best):
                                 best = value
                                 at = row * w + col
                     out[ni, ci, oh, ow] = best
                     idx[ni, ci, oh, ow] = at
     return out, idx
+
+
+def naive_maxpool2d_backward(x, k, stride, grad_out):
+    """Scalar loops: each window's gradient is added at its first-max index, windows in ascending output order."""
+    n, c, h, w = x.shape
+    _, idx = naive_maxpool2d(x, k, stride)
+    gx = np.zeros((n, c, h * w))
+    for ni in range(n):
+        for ci in range(c):
+            for oh in range(idx.shape[2]):
+                for ow in range(idx.shape[3]):
+                    gx[ni, ci, idx[ni, ci, oh, ow]] += grad_out[ni, ci, oh, ow]
+    return gx.reshape(n, c, h, w)
 
 
 def finite_diff(fn, array, eps=1e-6):

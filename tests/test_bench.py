@@ -36,7 +36,7 @@ def bundles_and_images(n_images=4, seed=0):
 class TestMeasureLatency:
     def test_stats_are_consistent_with_samples(self):
         proposed, _, images = bundles_and_images()
-        stats = measure_latency(proposed, images, repeats=4, variant="proposed")
+        stats = measure_latency([proposed], images, repeats=4, variant="proposed")
         assert stats.variant == "proposed"
         assert stats.runs == 4
         assert stats.images == len(images)
@@ -53,7 +53,7 @@ class TestMeasureLatency:
 
     def test_single_repeat(self):
         proposed, _, images = bundles_and_images(n_images=2)
-        stats = measure_latency(proposed, images, repeats=1)
+        stats = measure_latency([proposed], images, repeats=1)
         assert stats.runs == 1
         assert stats.std_ms == 0.0
 
@@ -66,7 +66,7 @@ class TestMeasureLatency:
     def test_two_model_pass_is_slower_than_shared_pass(self):
         # the pair does strictly more arithmetic per image than one shared model
         proposed, pair, images = bundles_and_images(n_images=6)
-        single = measure_latency(proposed, images, repeats=3)
+        single = measure_latency([proposed], images, repeats=3)
         double = measure_latency(pair, images, repeats=3)
         assert double.mean_ms > single.mean_ms
 
@@ -78,12 +78,12 @@ class TestMeasureLatency:
     def test_empty_image_list_rejected(self):
         proposed, _, _ = bundles_and_images()
         with pytest.raises(BenchError, match="image list is empty"):
-            measure_latency(proposed, [], repeats=1)
+            measure_latency([proposed], [], repeats=1)
 
     def test_bad_repeats_rejected(self):
         proposed, _, images = bundles_and_images()
         with pytest.raises(BenchError, match="repeats must be >= 1"):
-            measure_latency(proposed, images, repeats=0)
+            measure_latency([proposed], images, repeats=0)
 
     def test_prediction_drift_between_runs_rejected(self, monkeypatch):
         proposed, _, images = bundles_and_images(n_images=2)
@@ -97,7 +97,7 @@ class TestMeasureLatency:
 
         monkeypatch.setattr(bench_mod, "predict_ids", drifting)
         with pytest.raises(BenchError, match="predictions differ from the warm-up pass"):
-            measure_latency(proposed, images, repeats=1)
+            measure_latency([proposed], images, repeats=1)
 
 
 class TestTimingsCsv:

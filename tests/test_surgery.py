@@ -13,7 +13,6 @@ from mhforge.surgery import (
     convert_manifest_hc,
     freeze_layers,
     hc_categories,
-    hc_decode,
     hc_encode,
     parse_hc_map,
     serialize_hc_map,
@@ -128,7 +127,7 @@ class TestHardCoded:
     def test_full_product(self):
         observed = [(i, j) for i in range(3) for j in range(2)]
         spec, hc_map = build_hard_coded(parse_netspec(BACKBONE), cats_ab(), observed, "g")
-        assert len(hc_map) == 6
+        assert len(hc_map.combos) == 6
         assert spec.heads()[0].out_features == 6
 
     def test_single_combo_rejected(self):
@@ -158,15 +157,11 @@ class TestHcMap:
     def test_round_trip_all(self):
         m = self.the_map()
         for combo in m.combos:
-            assert hc_decode(m, hc_encode(m, combo)) == combo
+            assert m.combos[hc_encode(m, combo)] == combo
 
     def test_encode_unobserved(self):
         with pytest.raises(SurgeryError, match=r"\(1, 1\) was never observed"):
             hc_encode(self.the_map(), (1, 1))
-
-    def test_decode_out_of_range(self):
-        with pytest.raises(SurgeryError, match="HC class id 4 out of range"):
-            hc_decode(self.the_map(), 4)
 
     def test_convert_manifest(self):
         entries = [ManifestEntry("a.pgm", (0, 0)), ManifestEntry("b.pgm", (2, 1))]

@@ -11,7 +11,6 @@ import pytest
 
 from helpers import ACCEPTANCE_BACKBONE, finite_diff, rel_err, tensordot_conv2d_backward, tensordot_conv2d_forward
 
-import mhforge.tensor_ops as tensor_ops_mod
 import mhforge.training as training_mod
 from mhforge.dataset import (
     LabelCategories,
@@ -620,75 +619,6 @@ class TestEvaluateHc:
         )
         with pytest.raises(TrainError, match="dataset is empty"):
             evaluate_hc(new_bundle(spec, seed=0), [], hc_map, PIXEL_CATS)
-
-
-# only c1 is frozen, as in a finetune: backward reaches p2 but not p1
-FINETUNE_SHAPED = """\
-input name=img shape=1x8x8
-conv name=c1 in=img out_channels=2 kernel=3 pad=1 frozen=true
-relu name=r1 in=c1
-maxpool name=p1 in=r1 kernel=2
-conv name=c2 in=p1 out_channels=3 kernel=3 pad=1
-relu name=r2 in=c2
-maxpool name=p2 in=r2 kernel=2
-gavgpool name=g in=p2
-fc name=head_kind in=g out=3 head=kind in_features=3
-loss name=loss_kind in=head_kind label=kind
-accuracy name=acc_kind in=head_kind label=kind
-fc name=head_spot in=g out=2 head=spot in_features=3
-loss name=loss_spot in=head_spot label=spot
-accuracy name=acc_spot in=head_spot label=spot
-"""
-
-
-@pytest.fixture(scope="module")
-def square_dataset(tmp_path_factory):
-    """Random 4x4 images, three of each (kind, spot) combination."""
-    root = tmp_path_factory.mktemp("squares")
-    rng = np.random.default_rng(5)
-    entries = []
-    for i, combo in enumerate([(k, s) for k in range(3) for s in range(2)] * 3):
-        path = os.path.join(root, f"img_{i:03d}.pgm")
-        save_pgm(path, rng.uniform(0.0, 1.0, (4, 4)))
-        entries.append(ManifestEntry(path, combo))
-    return entries
-
-
-def built_pool_maps(state):
-    return [name for name, pool_map in state.pool_maps.items() if "indices" in vars(pool_map)]
-
-
-class TestPoolIndexMapsBuiltOnlyForBackward:
-    def test_frozen_backbone_paths_build_no_argmax_map(self, square_dataset, monkeypatch):
-        def bomb(*args):
-            raise AssertionError("a pool argmax map was built")
-
-        monkeypatch.setattr(tensor_ops_mod, "_pool_argmax", bomb)
-        backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
-        bundle = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
-        images = load_images(square_dataset)
-        state = forward_all(bundle, images)
-        assert set(state.pool_maps) == {"p1"} and built_pool_maps(state) == []
-        predict_ids(bundle, images)
-        evaluate(bundle, square_dataset)
-        train(bundle, square_dataset, TrainConfig(epochs=2, batch_size=4, seed=0))
-        spec, hc_map = build_hard_coded(backbone, CATS, [e.labels for e in square_dataset], "g")
-        evaluate_hc(new_bundle(spec, seed=3), square_dataset, hc_map, CATS)
-
-    def test_finetune_backward_builds_the_map_of_the_pool_it_reaches_once(self, monkeypatch):
-        built = []
-        build = tensor_ops_mod._pool_argmax
-        monkeypatch.setattr(tensor_ops_mod, "_pool_argmax", lambda x, *rest: built.append(x.shape) or build(x, *rest))
-        bundle = new_bundle(bind_categories(parse_netspec(FINETUNE_SHAPED), CATS), seed=4)
-        rng = np.random.default_rng(6)
-        images = Tensor(rng.uniform(0.0, 1.0, (5, 1, 8, 8)))
-        labels = {"kind": rng.integers(0, 3, 5), "spot": rng.integers(0, 2, 5)}
-        state = forward_all(bundle, images, labels)
-        assert built == [] and built_pool_maps(state) == []
-        grads = backward_multi(bundle, state, loss_head_grads(state))
-        assert set(grads) == {"c2", "head_kind", "head_spot"}
-        assert built_pool_maps(state) == ["p2"]
-        assert built == [(5, 3, 4, 4)]
 
 
 class TestModelBytesMatchTensordotConv:
