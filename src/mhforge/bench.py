@@ -39,6 +39,10 @@ class LatencyStats:
     median_ms: float
     std_ms: float
     throughput_images_per_s: float
+    min_ms: float
+    q1_ms: float  # quartiles by linear interpolation between samples, as np.percentile takes them
+    q3_ms: float
+    max_ms: float
 
 
 def _one_pass(bundles: list[ModelBundle], images: list[Tensor]) -> list[tuple[int, ...]]:
@@ -75,6 +79,7 @@ def measure_latency(
 
     arr = np.array(samples)
     total = float(arr.sum())
+    low, q1, q3, high = np.percentile(arr, [0, 25, 75, 100]) * 1000.0
     return LatencyStats(
         variant=variant,
         runs=repeats,
@@ -85,6 +90,10 @@ def measure_latency(
         median_ms=float(np.median(arr) * 1000.0),
         std_ms=float(arr.std() * 1000.0),
         throughput_images_per_s=repeats * len(images) / total,
+        min_ms=float(low),
+        q1_ms=float(q1),
+        q3_ms=float(q3),
+        max_ms=float(high),
     )
 
 

@@ -257,6 +257,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "median_ms": stats.median_ms,
             "std_ms": stats.std_ms,
             "throughput_images_per_s": stats.throughput_images_per_s,
+            "min_ms": stats.min_ms,
+            "q1_ms": stats.q1_ms,
+            "q3_ms": stats.q3_ms,
+            "max_ms": stats.max_ms,
             "per_run_seconds": list(stats.per_run_seconds),
         },
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from math import prod
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .errors import MhforgeError
 from .fileio import write_atomic
 from .netspec import NetworkSpec, bind_categories, parse_netspec, serialize_netspec, weight_shapes
 from .tensor_ops import SEED_MASK, LayerParams, Tensor, init_params
+
+if TYPE_CHECKING:
+    from .training import BackwardPlan
 
 MAGIC = b"MHFORGE1"
 FORMAT_VERSION = 1
@@ -44,6 +48,9 @@ class ModelBundle:
     params: dict[str, LayerParams]
     label_maps: dict[str, tuple[str, ...]] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
+    # training.backward_plan's record of what this bundle's training passes compute and keep,
+    # derived on first use from the spec and the parameters' frozen flags
+    plan: BackwardPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for lay in self.spec.param_layers():

@@ -144,40 +144,58 @@ def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout:
     return cols.reshape(n * hout * wout, c * k * k)
 
 
-def conv2d_forward(input: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d_forward(
+    input: Tensor, params: LayerParams, stride: int = 1, pad: int = 0, keep_patches: bool = False
+) -> Tensor | tuple[Tensor, np.ndarray]:
     """2-D convolution: each output element is the receptive field dotted with the kernel, plus bias.
 
     One GEMM of the patch matrix with the (C*K*K, Cout) weight view, the
     operands np.tensordot would build, so the result is bitwise tensordot's.
+    With keep_patches, also returns the patch matrix, which conv2d_backward
+    then multiplies instead of building it again.
     """
     cout, k, hout, wout, _ = _check_conv_args(input, params, stride, pad)
     n = input.shape[0]
     cols = _patch_matrix(input.data, k, stride, pad, hout, wout)
     res = np.dot(cols, params.weights.data.transpose(1, 2, 3, 0).reshape(-1, cout))
-    del cols  # freed before the output is allocated
+    if not keep_patches:
+        del cols  # freed before the output is allocated
     out = np.empty((n, cout, hout, wout))
     np.add(res.reshape(n, hout, wout, cout).transpose(0, 3, 1, 2), params.bias[:, None, None], out=out)
-    return Tensor(out)
+    return (Tensor(out), cols) if keep_patches else Tensor(out)
 
 
 def conv2d_backward(
-    input: Tensor, params: LayerParams, grad_out: Tensor, stride: int = 1, pad: int = 0
-) -> tuple[Tensor, Tensor, np.ndarray]:
+    input: Tensor,
+    params: LayerParams,
+    grad_out: Tensor,
+    stride: int = 1,
+    pad: int = 0,
+    input_grad: bool = True,
+    patches: np.ndarray | None = None,
+) -> tuple[Tensor | None, Tensor, np.ndarray]:
     """Gradients of sum(grad_out * conv2d_forward(...)) w.r.t. input, weights, and bias.
 
     Every GEMM gets the operands np.tensordot would build, so all three are
     bitwise tensordot's; the input gradient adds the K*K offsets in (kh, kw) order.
+    Without input_grad the input gradient is None and is not computed. `patches`
+    is the patch matrix conv2d_forward returned for this input, multiplied
+    instead of being built again.
     """
     cout, k, hout, wout, cin = _check_conv_args(input, params, stride, pad)
     n, c, h, w = input.shape
     if grad_out.shape != (n, cout, hout, wout):
         raise ShapeMismatch(f"grad_out shape {grad_out.shape} != conv output shape {(n, cout, hout, wout)}")
+    if patches is not None and patches.shape != (n * hout * wout, cin * k * k):
+        raise ShapeMismatch(f"patch matrix shape {patches.shape} != {(n * hout * wout, cin * k * k)} for this input")
     g = grad_out.data
 
     grad_bias = g.sum(axis=(0, 2, 3))
-    cols = _patch_matrix(input.data, k, stride, pad, hout, wout)
+    cols = _patch_matrix(input.data, k, stride, pad, hout, wout) if patches is None else patches
     grad_w = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, -1), cols).reshape(cout, cin, k, k)
     del cols
+    if not input_grad:
+        return None, Tensor(grad_w), grad_bias
 
     g_rows = g.transpose(0, 2, 3, 1).reshape(-1, cout)  # (N*Hout*Wout, Cout)
     gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))  # channels-last, like the padded input
@@ -306,17 +324,19 @@ def fully_connected(input: Tensor, params: LayerParams) -> Tensor:
 
 
 def fully_connected_backward(
-    input: Tensor, params: LayerParams, grad_out: Tensor
-) -> tuple[Tensor, Tensor, np.ndarray]:
+    input: Tensor, params: LayerParams, grad_out: Tensor, input_grad: bool = True
+) -> tuple[Tensor | None, Tensor, np.ndarray]:
+    """Gradients w.r.t. input, weights and bias; without input_grad the input gradient is None and is not computed."""
     n, f, d = _check_fc_args(input, params)
     if grad_out.shape != (n, f, 1, 1):
         raise ShapeMismatch(f"grad_out shape {grad_out.shape} != expected {(n, f, 1, 1)}")
     g2 = grad_out.data.reshape(n, f)
     x2 = input.data.reshape(n, d)
-    w2 = params.weights.data.reshape(f, d)
     grad_w = (g2.T @ x2).reshape(f, d, 1, 1)
     grad_b = g2.sum(axis=0)
-    grad_x = (g2 @ w2).reshape(input.shape)
+    if not input_grad:
+        return None, Tensor(grad_w), grad_b
+    grad_x = (g2 @ params.weights.data.reshape(f, d)).reshape(input.shape)
     return Tensor(grad_x), Tensor(grad_w), grad_b
 
 

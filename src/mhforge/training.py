@@ -4,6 +4,12 @@ Gradients for all heads are accumulated in a single reverse sweep, which is
 elementwise equal to running one backward pass per loss and summing. Frozen
 parameters never receive gradients, and the sweep stops below the deepest
 layer under which everything is frozen.
+
+One plan per bundle (`backward_plan`), derived from its spec and frozen
+flags, says which layers' backward runs and which input gradients it reads.
+The forward pass follows it: it drops each activation after the last step
+that reads it, keeps a maxpool's record only where that pool's backward
+runs, and keeps a trainable conv's patch matrix for its weight gradient.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from .dataset import ManifestEntry, epoch_order, load_images, project_entries
 from .errors import MhforgeError
 from .modelfile import ModelBundle
+from .netspec import NetworkSpec
 from .surgery import HcLabelMap, hc_encode
 from .tensor_ops import (
     SEED_MASK,
@@ -80,14 +87,47 @@ class HeadResult:
     grad_logits: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class BackwardPlan:
+    """What one bundle's backward sweep runs and reads, and so what its forward pass keeps.
+
+    Derived by `backward_plan` from the spec and the parameters' frozen flags.
+    A layer's backward runs when a head's gradient can reach it and it or
+    something feeding it trains.
+    """
+
+    spec: NetworkSpec
+    frozen: list[bool]  # the frozen flags of `bundle.params`, in its order, the plan was derived from
+    trains: frozenset[str]  # layers with unfrozen parameters
+    reach: dict[str, bool]  # layer -> does it or anything feeding it train, i.e. is its output gradient read
+    runs: frozenset[str]  # layers whose backward runs
+    keeps_patches: frozenset[str]  # convs that train: forward keeps the patch matrix their weight gradient multiplies
+    release: tuple[tuple[str, ...], ...]  # per spec layer: activations to drop once it has run, which no
+    # later layer and no backward that runs reads
+
+
 @dataclass
 class ForwardState:
-    """Every activation of one traversal, shared by all heads, plus what each maxpool backward reads."""
+    """One traversal, shared by all heads: the activations, maxpool records and patch matrices backward reads.
 
+    What the plan's backward does not read is dropped as soon as the forward
+    pass is done with it.
+    """
+
+    plan: BackwardPlan
     activations: dict[str, Tensor]
     pool_maps: dict[str, PoolIndexMap]
+    patches: dict[str, np.ndarray]
     heads: dict[str, HeadResult]
     batch_size: int
+
+
+def _conv_forward(bundle, state, lay, x, labels):
+    params = bundle.params[lay.name]
+    if lay.name not in state.plan.keeps_patches:
+        return conv2d_forward(x, params, lay.stride, lay.pad)
+    out, state.patches[lay.name] = conv2d_forward(x, params, lay.stride, lay.pad, keep_patches=True)
+    return out
 
 
 def _fc_forward(bundle, state, lay, x, labels):
@@ -98,7 +138,9 @@ def _fc_forward(bundle, state, lay, x, labels):
 
 
 def _maxpool_forward(bundle, state, lay, x, labels):
-    out, state.pool_maps[lay.name] = maxpool2d(x, lay.kernel, lay.stride)
+    out, pool_map = maxpool2d(x, lay.kernel, lay.stride)
+    if lay.name in state.plan.runs:
+        state.pool_maps[lay.name] = pool_map
     return out
 
 
@@ -118,50 +160,103 @@ def _accuracy_forward(bundle, state, lay, x, labels):
 
 
 # kind -> (forward, backward). forward(bundle, state, lay, x, labels) returns the output, None for a
-# metric sink; backward(bundle, state, lay, x, grad_out) returns the input gradient, then the weight and
-# bias gradients of a parameterised kind. Ops are looked up by name at each call, never stored, so the
-# function this module's attribute holds at call time (a tracer's wrapper, say) is what runs.
+# metric sink; backward(bundle, state, lay, x, grad_out, input_grad) returns the input gradient (None
+# when input_grad is false and the kind has parameters), then the weight and bias gradients of a
+# parameterised kind. Ops are looked up by name at each call, never stored, so the function this
+# module's attribute holds at call time (a tracer's wrapper, say) is what runs.
 _LAYER_OPS = {
     "input": (lambda bundle, state, lay, x, labels: x, None),
     "conv": (
-        lambda bundle, state, lay, x, labels: conv2d_forward(x, bundle.params[lay.name], lay.stride, lay.pad),
-        lambda bundle, state, lay, x, g: conv2d_backward(x, bundle.params[lay.name], g, lay.stride, lay.pad),
+        _conv_forward,
+        lambda bundle, state, lay, x, g, input_grad: conv2d_backward(
+            x, bundle.params[lay.name], g, lay.stride, lay.pad,
+            input_grad=input_grad, patches=state.patches.get(lay.name),
+        ),
     ),
-    "relu": (lambda bundle, state, lay, x, labels: relu(x), lambda bundle, state, lay, x, g: (relu_backward(x, g),)),
-    "maxpool": (_maxpool_forward, lambda bundle, state, lay, x, g: (maxpool2d_backward(state.pool_maps[lay.name], g),)),
+    "relu": (
+        lambda bundle, state, lay, x, labels: relu(x),
+        lambda bundle, state, lay, x, g, input_grad: (relu_backward(x, g),),
+    ),
+    "maxpool": (
+        _maxpool_forward,
+        lambda bundle, state, lay, x, g, input_grad: (maxpool2d_backward(state.pool_maps[lay.name], g),),
+    ),
     "gavgpool": (
         lambda bundle, state, lay, x, labels: global_avgpool(x),
-        lambda bundle, state, lay, x, g: (global_avgpool_backward(x.shape, g),),
+        lambda bundle, state, lay, x, g, input_grad: (global_avgpool_backward(x.shape, g),),
     ),
-    "fc": (_fc_forward, lambda bundle, state, lay, x, g: fully_connected_backward(x, bundle.params[lay.name], g)),
+    "fc": (
+        _fc_forward,
+        lambda bundle, state, lay, x, g, input_grad: fully_connected_backward(
+            x, bundle.params[lay.name], g, input_grad=input_grad
+        ),
+    ),
     "loss": (_loss_forward, None),
     "accuracy": (_accuracy_forward, None),
 }
 
 
+def _derive_plan(spec: NetworkSpec, params: dict[str, LayerParams], frozen: list[bool]) -> BackwardPlan:
+    layers = spec.layers
+    trains = frozenset(lay.name for lay in layers if lay.has_params and not params[lay.name].frozen)
+    reach: dict[str, bool] = {}
+    for lay in layers:
+        reach[lay.name] = lay.name in trains or (reach[lay.inputs[0]] if lay.inputs else False)
+
+    gets_grad = {lay.name for lay in spec.heads()}
+    runs = set()
+    for lay in reversed(layers):
+        if lay.name in gets_grad and reach[lay.name]:
+            runs.add(lay.name)
+            if reach[lay.inputs[0]]:
+                gets_grad.add(lay.inputs[0])
+
+    read_by_backward = {lay.inputs[0] for lay in layers if lay.name in runs}
+    last_read: dict[str, int] = {}
+    for i, lay in enumerate(layers):
+        for name in (lay.name, *lay.inputs):
+            last_read[name] = i
+    release: list[list[str]] = [[] for _ in layers]
+    for name, i in last_read.items():
+        if name not in read_by_backward:
+            release[i].append(name)
+
+    keeps_patches = frozenset(lay.name for lay in layers if lay.kind == "conv" and lay.name in runs & trains)
+    return BackwardPlan(
+        spec, frozen, trains, reach, frozenset(runs), keeps_patches, tuple(tuple(names) for names in release)
+    )
+
+
+def backward_plan(bundle: ModelBundle) -> BackwardPlan:
+    """The bundle's plan: derived on first use, and again only if its spec or frozen flags have changed."""
+    frozen = [p.frozen for p in bundle.params.values()]
+    plan = bundle.plan
+    if plan is None or plan.spec is not bundle.spec or plan.frozen != frozen:
+        plan = bundle.plan = _derive_plan(bundle.spec, bundle.params, frozen)
+    return plan
+
+
 def forward_all(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray] | None = None) -> ForwardState:
-    """Runs the graph once; with labels, fills per-head loss, accuracy, and logit gradients."""
+    """Runs the graph once; with labels, fills per-head loss, accuracy, and logit gradients.
+
+    Keeps only what the bundle's backward plan reads; every other activation
+    is dropped after the last layer that reads it.
+    """
     spec = bundle.spec
     n, c, h, w = images.shape
     if (c, h, w) != spec.input_shape:
         raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    state = ForwardState({}, {}, {}, n)
-    for lay in spec.layers:
-        x = state.activations[lay.inputs[0]] if lay.inputs else images
+    plan = backward_plan(bundle)
+    state = ForwardState(plan, {}, {}, {}, {}, n)
+    activations = state.activations
+    for lay, done in zip(spec.layers, plan.release):
+        x = activations[lay.inputs[0]] if lay.inputs else images
         out = _LAYER_OPS[lay.kind][0](bundle, state, lay, x, labels)
         if out is not None:
-            state.activations[lay.name] = out
+            activations[lay.name] = out
+        for name in done:
+            activations.pop(name, None)  # a metric sink stored nothing
     return state
-
-
-def _has_unfrozen_below(bundle: ModelBundle) -> dict[str, bool]:
-    """For each layer: does it or anything feeding it hold unfrozen parameters?"""
-    table: dict[str, bool] = {}
-    for lay in bundle.spec.layers:
-        own = lay.has_params and not bundle.params[lay.name].frozen
-        below = table[lay.inputs[0]] if lay.inputs else False
-        table[lay.name] = own or below
-    return table
 
 
 def backward_multi(
@@ -171,10 +266,11 @@ def backward_multi(
 
     head_grads maps category -> gradient w.r.t. that head's logits, (N, F).
     Returns weight/bias gradients for unfrozen layers only; layers with no
-    path to any seeded head are absent (their gradient is zero).
+    path to any seeded head are absent (their gradient is zero). Follows the
+    plan `state` was computed under: an input gradient nothing reads is not
+    computed.
     """
-    spec = bundle.spec
-    reach = _has_unfrozen_below(bundle)
+    plan = state.plan
     out_grads: dict[str, np.ndarray] = {}
     param_grads: dict[str, tuple[Tensor, np.ndarray]] = {}
 
@@ -185,19 +281,16 @@ def backward_multi(
         name = hr.layer_name
         out_grads[name] = out_grads[name] + g if name in out_grads else g
 
-    for lay in reversed(spec.layers):
-        backward = _LAYER_OPS[lay.kind][1]
-        if lay.name not in out_grads or backward is None:
+    for lay in reversed(bundle.spec.layers):
+        if lay.name not in plan.runs or lay.name not in out_grads:
             continue
         g = Tensor(out_grads.pop(lay.name))
         src = lay.inputs[0]
-        trains = lay.has_params and not bundle.params[lay.name].frozen
-        if not (trains or reach[src]):
-            continue
-        gx, *weight_grads = backward(bundle, state, lay, state.activations[src], g)
-        if trains:  # each layer is visited once, so its gradients are final here
+        read = plan.reach[src]
+        gx, *weight_grads = _LAYER_OPS[lay.kind][1](bundle, state, lay, state.activations[src], g, read)
+        if lay.name in plan.trains:  # each layer is visited once, so its gradients are final here
             param_grads[lay.name] = tuple(weight_grads)
-        if reach[src]:
+        if read:
             out_grads[src] = out_grads[src] + gx.data if src in out_grads else gx.data
     return param_grads
 

@@ -53,27 +53,36 @@ def _tensordot_windows(x, k, stride, pad):
     return xp, sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-def tensordot_conv2d_forward(input, params, stride=1, pad=0):
+def tensordot_conv2d_forward(input, params, stride=1, pad=0, keep_patches=False):
     """The tensordot convolution conv2d_forward replaced, kept as its bitwise reference.
 
-    Same signature and result type as the op, so it can stand in for it.
+    Same signature and result type as the op, so it can stand in for it; with
+    keep_patches, its window view stands in for the patch matrix.
     """
     k = params.weights.shape[2]
     _, win = _tensordot_windows(input.data, k, stride, pad)
     out = np.tensordot(win, params.weights.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = out.transpose(0, 3, 1, 2) + params.bias[None, :, None, None]
-    return Tensor(out)
+    out = Tensor(out.transpose(0, 3, 1, 2) + params.bias[None, :, None, None])
+    return (out, win) if keep_patches else out
 
 
-def tensordot_conv2d_backward(input, params, grad_out, stride=1, pad=0):
-    """The tensordot gradients conv2d_backward replaced: (grad input, grad weights, grad bias)."""
+def tensordot_conv2d_backward(input, params, grad_out, stride=1, pad=0, input_grad=True, patches=None):
+    """The tensordot gradients conv2d_backward replaced: (grad input, grad weights, grad bias).
+
+    `patches` is the window view tensordot_conv2d_forward kept, if any;
+    without input_grad the input gradient is None.
+    """
     k = params.weights.shape[2]
     n, c, h, w = input.shape
     _, _, hout, wout = grad_out.shape
     g = grad_out.data
     xp, win = _tensordot_windows(input.data, k, stride, pad)
+    if patches is not None:
+        win = patches
     grad_bias = g.sum(axis=(0, 2, 3))
     grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    if not input_grad:
+        return None, Tensor(grad_w), grad_bias
     gxp = np.zeros_like(xp)
     wdat = params.weights.data
     for kh in range(k):

@@ -51,6 +51,17 @@ class TestMeasureLatency:
             stats.runs * stats.images / stats.total_seconds, rel=1e-12
         )
 
+    def test_spread_is_ordered_and_matches_samples(self):
+        proposed, _, images = bundles_and_images(n_images=2)
+        stats = measure_latency([proposed], images, repeats=5)
+        ms = sorted(s * 1000.0 for s in stats.per_run_seconds)
+        assert stats.min_ms <= stats.q1_ms <= stats.median_ms <= stats.q3_ms <= stats.max_ms
+        assert stats.min_ms == pytest.approx(ms[0], rel=1e-12)
+        assert stats.q1_ms == pytest.approx(ms[1], rel=1e-12)  # five samples: the quartiles fall on samples
+        assert stats.median_ms == pytest.approx(ms[2], rel=1e-12)
+        assert stats.q3_ms == pytest.approx(ms[3], rel=1e-12)
+        assert stats.max_ms == pytest.approx(ms[4], rel=1e-12)
+
     def test_single_repeat(self):
         proposed, _, images = bundles_and_images(n_images=2)
         stats = measure_latency([proposed], images, repeats=1)
@@ -112,6 +123,10 @@ class TestTimingsCsv:
             median_ms=375.0,
             std_ms=125.0,
             throughput_images_per_s=8.0,
+            min_ms=250.0,
+            q1_ms=312.5,
+            q3_ms=437.5,
+            max_ms=500.0,
         )
         assert timings_csv(stats) == "run_index,seconds\n0,0.500000000\n1,0.250000000\n"
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mhforge.cli import main
@@ -280,6 +281,14 @@ class TestBench:
         assert stats["runs"] == 2
         assert len(stats["per_run_seconds"]) == 2
         assert stats["variant"] == "proposed"
+
+    def test_spread_fields_match_per_run_seconds(self, pipeline):
+        with open(os.path.join(pipeline["proposed"], "bench.json")) as f:
+            stats = json.load(f)
+        ms = np.array(stats["per_run_seconds"]) * 1000.0
+        spread = [stats[k] for k in ("min_ms", "q1_ms", "median_ms", "q3_ms", "max_ms")]
+        assert spread == sorted(spread)
+        assert spread == pytest.approx(list(np.percentile(ms, [0, 25, 50, 75, 100])), rel=1e-12)
 
     def test_timings_csv_has_one_row_per_run(self, pipeline):
         with open(os.path.join(pipeline["proposed"], "timings.csv")) as f:

@@ -138,6 +138,37 @@ def conv_results(op_forward, op_backward, x, w, b, g, stride, pad):
     return out.data, gx.data, gw.data, gb
 
 
+def partial_call_mismatches(full, x, w, b, g, stride, pad, seed):
+    """Names of the results that differ, byte for byte, from the full calls' `full` when a call skips work.
+
+    conv: the forward that keeps its patch matrix, and backward without the input
+    gradient, handed that matrix, or both. fc: backward without the input
+    gradient, on x flattened, with seeded weights and grad_out g[:, :, :1, :1].
+    A skipped input gradient must be None. `full` is what conv_results returned.
+    """
+    out, gx, gw, gb = full
+    params = LayerParams(Tensor(w), b)
+    kept, patches = conv2d_forward(Tensor(x), params, stride, pad, keep_patches=True)
+    names = [] if kept.data.tobytes() == out.tobytes() else ["conv out, patches kept"]
+    variants = {"no gx": {"input_grad": False}, "patches": {"patches": patches}}
+    variants["no gx, patches"] = {**variants["no gx"], **variants["patches"]}
+    for label, kwargs in variants.items():
+        gx2, gw2, gb2 = conv2d_backward(Tensor(x), params, Tensor(g), stride, pad, **kwargs)
+        skipped = "input_grad" in kwargs
+        if (gx2 is None) != skipped or (not skipped and gx2.data.tobytes() != gx.tobytes()):
+            names.append(f"conv gx, {label}")
+        pairs = (("gw", gw2.data, gw), ("gb", gb2, gb))
+        names += [f"conv {name}, {label}" for name, a, r in pairs if a.tobytes() != r.tobytes()]
+
+    fc_params = LayerParams(Tensor(np.random.default_rng(seed).uniform(-1, 1, (w.shape[0], x[0].size, 1, 1))), b)
+    fc_g = Tensor(g[:, :, :1, :1])
+    _, fw, fb = fully_connected_backward(Tensor(x), fc_params, fc_g)
+    fx2, fw2, fb2 = fully_connected_backward(Tensor(x), fc_params, fc_g, input_grad=False)
+    if fx2 is not None or fw2.data.tobytes() != fw.data.tobytes() or fb2.tobytes() != fb.tobytes():
+        names.append("fc, no gx")
+    return names
+
+
 def tensordot_hands_blas_a_view(n, cin, k, stride):
     """With a 1x1 kernel at stride 1 and batch 1, tensordot's patch matrix is a column-major
     view of the input, not a row-major copy; BLAS then runs another kernel, whose sums may
@@ -149,7 +180,8 @@ class TestConvMatchesTensordot:
     """The GEMM convolution against the tensordot convolution it replaced, bit for bit.
 
     Where tensordot hands BLAS a view (see tensordot_hands_blas_a_view), both are held
-    to the scalar-loop oracle and to each other within 1e-12 instead.
+    to the scalar-loop oracle and to each other within 1e-12 instead. Every case also
+    holds the calls that skip work to the full calls (partial_call_mismatches).
     """
 
     @pytest.mark.parametrize("n", [1, 3, 8, 64])
@@ -167,14 +199,15 @@ class TestConvMatchesTensordot:
             g = rng.uniform(-1, 1, (n, cout, hout, wout))
             got = conv_results(conv2d_forward, conv2d_backward, x, wt, b, g, stride, pad)
             ref = conv_results(tensordot_conv2d_forward, tensordot_conv2d_backward, x, wt, b, g, stride, pad)
+            names = partial_call_mismatches(got, x, wt, b, g, stride, pad, seed=(n, k, cin, cout, stride, pad))
             if tensordot_hands_blas_a_view(n, cin, k, stride):
                 oracle = (naive_conv2d(x, wt, b, stride, pad),) + naive_conv2d_backward(x, wt, g, stride, pad)
                 for a, r, o in zip(got, ref, oracle):
                     assert a.shape == o.shape
                     assert np.max(np.abs(a - o)) < 1e-12
                     assert np.max(np.abs(a - r)) < 1e-12
-                continue
-            names = [name for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref) if a.tobytes() != r.tobytes()]
+            else:
+                names += [name for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref) if a.tobytes() != r.tobytes()]
             if names:
                 mismatched.append((cin, cout, stride, pad, names))
         assert mismatched == [], f"(cin, cout, stride, pad, results) not bitwise equal at n={n}, k={k}"
@@ -191,6 +224,7 @@ class TestConvMatchesTensordot:
         ref = conv_results(tensordot_conv2d_forward, tensordot_conv2d_backward, x, wt, b, g, 1, 1)
         for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref):
             assert a.tobytes() == r.tobytes(), name
+        assert partial_call_mismatches(got, x, wt, b, g, 1, 1, seed=(n, cin)) == []
 
 
 class TestMaxpool:

@@ -9,7 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ACCEPTANCE_BACKBONE, finite_diff, rel_err, tensordot_conv2d_backward, tensordot_conv2d_forward
+from helpers import (
+    ACCEPTANCE_BACKBONE,
+    finite_diff,
+    random_spec_text,
+    rel_err,
+    tensordot_conv2d_backward,
+    tensordot_conv2d_forward,
+)
 
 import mhforge.training as training_mod
 from mhforge.dataset import (
@@ -118,13 +125,22 @@ class TestForwardAll:
         assert {k for k, (_, backward) in _LAYER_OPS.items() if backward is None} == {"input", "loss", "accuracy"}
 
     def test_activation_and_head_inventory(self):
+        # c1 trains: backward reads the input of every layer from the heads down to c1,
+        # p1's record and c1's patch matrix; the head outputs live on in the heads' logits
         bundle = make_bundle()
         images, labels = make_batch()
         state = forward_all(bundle, images, labels)
-        assert set(state.activations) == {"img", "c1", "r1", "p1", "g", "head_kind", "head_spot"}
+        assert set(state.activations) == {"img", "c1", "r1", "p1", "g"}
         assert set(state.pool_maps) == {"p1"}
+        assert set(state.patches) == {"c1"}
         assert set(state.heads) == {"kind", "spot"}
         assert state.batch_size == 3
+        # frozen backbone: the heads' backward reads g alone
+        backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
+        state = forward_all(new_bundle(attach_heads(backbone, CATS, "g"), seed=2), images, labels)
+        assert set(state.activations) == {"g"}
+        assert state.pool_maps == {} and state.patches == {}
+        assert set(state.heads) == {"kind", "spot"}
 
     def test_without_labels_metrics_stay_empty(self):
         bundle = make_bundle()
@@ -258,6 +274,121 @@ class TestBackwardMulti:
         seeds = loss_head_grads(state)
         assert np.allclose(seeds["kind"], state.heads["kind"].grad_logits)
         assert np.allclose(seeds["spot"], 0.5 * state.heads["spot"].grad_logits)
+
+
+def forward_keeping_everything(bundle, images, labels):
+    """The reference forward pass: keeps every activation and no patch matrix, so backward builds its own."""
+    plan = training_mod.backward_plan(bundle)
+    everything = dataclasses.replace(plan, keeps_patches=frozenset(), release=((),) * len(plan.release))
+    state = training_mod.ForwardState(everything, {}, {}, {}, {}, images.shape[0])
+    for lay in bundle.spec.layers:
+        x = state.activations[lay.inputs[0]] if lay.inputs else images
+        out = training_mod._LAYER_OPS[lay.kind][0](bundle, state, lay, x, labels)
+        if out is not None:
+            state.activations[lay.name] = out
+    return state
+
+
+class ReadLog(dict):
+    """A dict that records which of its keys are read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.add(key)
+        return super().get(key, default)
+
+
+def finetune_shaped_spec():
+    """The acceptance backbone under two heads, frozen but for c2."""
+    spec = attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), CATS, "g")
+    layers = tuple(dataclasses.replace(l, frozen=l.frozen and l.name != "c2") for l in spec.layers)
+    return dataclasses.replace(spec, layers=layers)
+
+
+class TestBackwardPlan:
+    def test_random_specs_match_a_forward_that_keeps_everything(self):
+        rng = np.random.default_rng(2024)
+        for case in range(60):
+            spec = parse_netspec(random_spec_text(rng))
+            bundle = new_bundle(spec, seed=case)
+            images = Tensor(rng.uniform(-1, 1, (3, *spec.input_shape)))
+            labels = {h.head_tag: rng.integers(0, h.out_features, 3) for h in spec.heads()}
+            state = forward_all(bundle, images, labels)
+            ref = forward_keeping_everything(bundle, images, labels)
+            for cat, hr in ref.heads.items():
+                assert np.float64(state.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (case, cat)
+            seeds = loss_head_grads(ref)
+            want = backward_multi(bundle, ref, seeds)
+            # what the pass kept is exactly what backward reads
+            for field in ("activations", "pool_maps", "patches"):
+                setattr(state, field, ReadLog(getattr(state, field)))
+            got = backward_multi(bundle, state, seeds)
+            for field in ("activations", "pool_maps", "patches"):
+                assert getattr(state, field).read == set(getattr(state, field)), (case, field)
+            assert set(got) == set(want), case
+            for name, (gw, gb) in want.items():
+                assert got[name][0].data.tobytes() == gw.data.tobytes(), (case, name)
+                assert got[name][1].tobytes() == gb.tobytes(), (case, name)
+
+    def test_finetune_shaped_steps_build_patches_once_and_skip_unread_input_gradients(self, monkeypatch):
+        import mhforge.tensor_ops as tensor_ops_mod
+
+        spec = finetune_shaped_spec()
+        trains_c2 = new_bundle(spec, seed=0)
+        heads_only = new_bundle(spec, seed=0)
+        heads_only.params["c2"].frozen = True
+        names = {id(p): n for bundle in (trains_c2, heads_only) for n, p in bundle.params.items()}
+
+        patch_builds = []  # one entry per _patch_matrix call: was a backward op running?
+        backward_calls = []  # (layer, input_grad, input gradient returned)
+        in_backward = []
+        build = tensor_ops_mod._patch_matrix
+
+        def spy_build(*args):
+            patch_builds.append(bool(in_backward))
+            return build(*args)
+
+        monkeypatch.setattr(tensor_ops_mod, "_patch_matrix", spy_build)
+        for op in ("conv2d_backward", "fully_connected_backward"):
+            def spy(x, params, *args, op=getattr(training_mod, op), **kwargs):
+                in_backward.append(True)
+                try:
+                    result = op(x, params, *args, **kwargs)
+                finally:
+                    in_backward.pop()
+                backward_calls.append((names[id(params)], kwargs["input_grad"], result[0] is not None))
+                return result
+            monkeypatch.setattr(training_mod, op, spy)
+
+        _, labels = make_batch(n=2)
+        images = Tensor(np.random.default_rng(3).uniform(0, 1, (2, 1, 34, 34)))
+        heads = {"head_kind", "head_spot"}
+        for _ in range(2):
+            for bundle, trained in ((trains_c2, heads | {"c2"}), (heads_only, heads)):
+                patch_builds.clear()
+                backward_calls.clear()
+                state = forward_all(bundle, images, labels)
+                grads = backward_multi(bundle, state, loss_head_grads(state))
+                assert set(grads) == trained
+                assert patch_builds == [False, False]  # c1 and c2 forward, none in backward
+                gx_read = "c2" in trained
+                assert sorted(backward_calls) == sorted(
+                    [(n, gx_read, gx_read) for n in heads] + [("c2", False, False)] * gx_read
+                )
+        assert training_mod.backward_plan(trains_c2) is training_mod.backward_plan(trains_c2)
+        assert training_mod.backward_plan(trains_c2).keeps_patches == {"c2"}
+        assert training_mod.backward_plan(heads_only).keeps_patches == frozenset()
+        # a changed frozen flag gets the bundle a new plan
+        heads_only.params["c2"].frozen = False
+        assert training_mod.backward_plan(heads_only).keeps_patches == {"c2"}
 
 
 class TestSgdStep:
@@ -649,7 +780,7 @@ class TestModelBytesMatchTensordotConv:
 
         calls = []
         for op, ref in (("conv2d_forward", tensordot_conv2d_forward), ("conv2d_backward", tensordot_conv2d_backward)):
-            monkeypatch.setattr(training_mod, op, lambda *a, op=op, ref=ref: calls.append(op) or ref(*a))
+            monkeypatch.setattr(training_mod, op, lambda *a, op=op, ref=ref, **kw: calls.append(op) or ref(*a, **kw))
         want = self.trained(spec, entries, tmp_path / "tensordot.mhf")
 
         assert "conv2d_forward" in calls
