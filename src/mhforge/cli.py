@@ -22,6 +22,7 @@ if _DEFAULT_THREADS.isdigit() and int(_DEFAULT_THREADS) >= 1:
         os.environ.setdefault(_var, _DEFAULT_THREADS)
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -58,7 +59,7 @@ from .surgery import (
 )
 from .training import TrainConfig, evaluate, evaluate_hc, split_entries, train
 
-VARIANT_FLAGS = {"proposed": PROPOSED, "2m": TWO_MODEL, "hc": HARD_CODED}
+VARIANT_CHOICES = ("2m", "hc", "proposed")  # build --variant: 2m builds two_model, hc hard_coded
 
 
 def _write_text(path: str, text: str) -> None:
@@ -246,24 +247,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     bench_path = os.path.join(out_dir, "bench.json")
     csv_path = os.path.join(out_dir, "timings.csv")
-    _write_json(
-        bench_path,
-        {
-            "variant": stats.variant,
-            "runs": stats.runs,
-            "images": stats.images,
-            "total_seconds": stats.total_seconds,
-            "mean_ms": stats.mean_ms,
-            "median_ms": stats.median_ms,
-            "std_ms": stats.std_ms,
-            "throughput_images_per_s": stats.throughput_images_per_s,
-            "min_ms": stats.min_ms,
-            "q1_ms": stats.q1_ms,
-            "q3_ms": stats.q3_ms,
-            "max_ms": stats.max_ms,
-            "per_run_seconds": list(stats.per_run_seconds),
-        },
-    )
+    _write_json(bench_path, dataclasses.asdict(stats))
     _write_text(csv_path, timings_csv(stats))
     _run_manifest(out_dir, "bench", args, [bench_path, csv_path])
     print(
@@ -338,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="derive a variant network description from a backbone")
     p.add_argument("--netspec", required=True, help="backbone network description file")
     p.add_argument("--categories", required=True, help="label categories file")
-    p.add_argument("--variant", required=True, choices=sorted(VARIANT_FLAGS))
+    p.add_argument("--variant", required=True, choices=VARIANT_CHOICES)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--manifest", help="training manifest (required for --variant hc)")
     p.add_argument("--feature-layer", help="backbone layer feeding the heads (default: last layer)")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from math import prod
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +27,6 @@ from .errors import MhforgeError
 from .fileio import write_atomic
 from .netspec import NetworkSpec, bind_categories, parse_netspec, serialize_netspec, weight_shapes
 from .tensor_ops import SEED_MASK, LayerParams, Tensor, init_params
-
-if TYPE_CHECKING:
-    from .training import BackwardPlan
 
 MAGIC = b"MHFORGE1"
 FORMAT_VERSION = 1
@@ -48,9 +44,6 @@ class ModelBundle:
     params: dict[str, LayerParams]
     label_maps: dict[str, tuple[str, ...]] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
-    # training.backward_plan's record of what this bundle's training passes compute and keep,
-    # derived on first use from the spec and the parameters' frozen flags
-    plan: BackwardPlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for lay in self.spec.param_layers():
@@ -124,11 +117,17 @@ def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
     return ModelBundle(spec, params, label_maps_from_categories(spec.categories))
 
 
-def header_bytes(spec: NetworkSpec) -> int:
-    """Bytes before the weight payload: magic, version, and both length-prefixed text blocks."""
+def _header(spec: NetworkSpec, label_maps: dict[str, tuple[str, ...]], version: int) -> list[bytes]:
+    """Magic, version, and the two length-prefixed texts: the network description and the label maps."""
     spec_text = serialize_netspec(spec).encode("utf-8")
-    maps_text = serialize_label_maps(label_maps_from_categories(spec.categories)).encode("utf-8")
-    return len(MAGIC) + 4 + 4 + len(spec_text) + 4 + len(maps_text)
+    maps_text = serialize_label_maps(label_maps).encode("utf-8")
+    u32 = struct.Struct("<I").pack
+    return [MAGIC, u32(version), u32(len(spec_text)), spec_text, u32(len(maps_text)), maps_text]
+
+
+def header_bytes(spec: NetworkSpec) -> int:
+    """Bytes before the weight payload (magic, version, both texts) of a file saved from `new_bundle(spec)`."""
+    return sum(map(len, _header(spec, label_maps_from_categories(spec.categories), FORMAT_VERSION)))
 
 
 def save_model(bundle: ModelBundle, path: str) -> int:
@@ -138,8 +137,6 @@ def save_model(bundle: ModelBundle, path: str) -> int:
     float32. The file is replaced whole (see fileio.write_atomic): a failed
     save leaves the previous file as it was.
     """
-    spec_text = serialize_netspec(bundle.spec).encode("utf-8")
-    maps_text = serialize_label_maps(bundle.label_maps).encode("utf-8")
     payload = []
     for lay in bundle.spec.param_layers():
         p = bundle.params[lay.name]
@@ -148,15 +145,7 @@ def save_model(bundle: ModelBundle, path: str) -> int:
         if not all(np.isfinite(a).all() for a in arrays):
             raise ModelFileError(f"layer {lay.name}: weights or bias are not finite as float32; nothing written")
         payload += [a.tobytes() for a in arrays]
-    header = [
-        MAGIC,
-        struct.pack("<I", bundle.format_version),
-        struct.pack("<I", len(spec_text)),
-        spec_text,
-        struct.pack("<I", len(maps_text)),
-        maps_text,
-    ]
-    return write_atomic(path, header + payload)
+    return write_atomic(path, _header(bundle.spec, bundle.label_maps, bundle.format_version) + payload)
 
 
 def load_model(path: str) -> ModelBundle:

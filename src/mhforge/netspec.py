@@ -24,7 +24,7 @@ the cost model and the model file all read that table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import prod
 from typing import Callable
 
@@ -95,6 +95,15 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     input_shape: Shape3
     categories: LabelCategories | None = None
+    # per layer: the outputs no later layer reads, so a forward pass is done with them once it has run
+    last_reads: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        last_read = {name: i for i, lay in enumerate(self.layers) for name in (lay.name, *lay.inputs)}
+        done: list[list[str]] = [[] for _ in self.layers]
+        for name, i in last_read.items():
+            done[i].append(name)
+        object.__setattr__(self, "last_reads", tuple(map(tuple, done)))
 
     def layer(self, name: str) -> LayerSpec:
         for lay in self.layers:

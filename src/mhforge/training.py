@@ -5,11 +5,14 @@ elementwise equal to running one backward pass per loss and summing. Frozen
 parameters never receive gradients, and the sweep stops below the deepest
 layer under which everything is frozen.
 
-One plan per bundle (`backward_plan`), derived from its spec and frozen
-flags, says which layers' backward runs and which input gradients it reads.
-The forward pass follows it: it drops each activation after the last step
-that reads it, keeps a maxpool's record only where that pool's backward
-runs, and keeps a trainable conv's patch matrix for its weight gradient.
+A pass keeps only what the backward that follows it reads. `train` derives
+one plan (`backward_plan`) from the spec and frozen flags before its first
+epoch and hands it to every training pass: it says which layers' backward
+runs and which input gradients it reads, so the pass keeps those layers'
+inputs, a maxpool's record where that pool's backward runs, and a trainable
+conv's patch matrix for its weight gradient. Every other pass (validation,
+evaluation, prediction) runs under `NO_BACKWARD` and drops each activation
+after its last reader.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from .dataset import ManifestEntry, epoch_order, load_images, project_entries
 from .errors import MhforgeError
 from .modelfile import ModelBundle
-from .netspec import NetworkSpec
 from .surgery import HcLabelMap, hc_encode
 from .tensor_ops import (
     SEED_MASK,
@@ -89,29 +91,29 @@ class HeadResult:
 
 @dataclass(frozen=True)
 class BackwardPlan:
-    """What one bundle's backward sweep runs and reads, and so what its forward pass keeps.
+    """What a backward sweep runs and reads, and so what the forward pass before it keeps.
 
     Derived by `backward_plan` from the spec and the parameters' frozen flags.
     A layer's backward runs when a head's gradient can reach it and it or
     something feeding it trains.
     """
 
-    spec: NetworkSpec
-    frozen: list[bool]  # the frozen flags of `bundle.params`, in its order, the plan was derived from
     trains: frozenset[str]  # layers with unfrozen parameters
     reach: dict[str, bool]  # layer -> does it or anything feeding it train, i.e. is its output gradient read
     runs: frozenset[str]  # layers whose backward runs
     keeps_patches: frozenset[str]  # convs that train: forward keeps the patch matrix their weight gradient multiplies
-    release: tuple[tuple[str, ...], ...]  # per spec layer: activations to drop once it has run, which no
-    # later layer and no backward that runs reads
+    keeps: frozenset[str]  # activations a backward that runs reads: the inputs of the layers in `runs`
+
+
+NO_BACKWARD = BackwardPlan(frozenset(), {}, frozenset(), frozenset(), frozenset())  # a pass no backward follows
 
 
 @dataclass
 class ForwardState:
     """One traversal, shared by all heads: the activations, maxpool records and patch matrices backward reads.
 
-    What the plan's backward does not read is dropped as soon as the forward
-    pass is done with it.
+    Holds what its plan's backward reads; every other activation is dropped
+    as soon as the forward pass is done with it.
     """
 
     plan: BackwardPlan
@@ -196,14 +198,15 @@ _LAYER_OPS = {
 }
 
 
-def _derive_plan(spec: NetworkSpec, params: dict[str, LayerParams], frozen: list[bool]) -> BackwardPlan:
-    layers = spec.layers
-    trains = frozenset(lay.name for lay in layers if lay.has_params and not params[lay.name].frozen)
+def backward_plan(bundle: ModelBundle) -> BackwardPlan:
+    """What a backward sweep of the bundle, as its parameters are frozen now, runs and reads."""
+    layers = bundle.spec.layers
+    trains = frozenset(lay.name for lay in layers if lay.has_params and not bundle.params[lay.name].frozen)
     reach: dict[str, bool] = {}
     for lay in layers:
         reach[lay.name] = lay.name in trains or (reach[lay.inputs[0]] if lay.inputs else False)
 
-    gets_grad = {lay.name for lay in spec.heads()}
+    gets_grad = {lay.name for lay in bundle.spec.heads()}
     runs = set()
     for lay in reversed(layers):
         if lay.name in gets_grad and reach[lay.name]:
@@ -211,51 +214,37 @@ def _derive_plan(spec: NetworkSpec, params: dict[str, LayerParams], frozen: list
             if reach[lay.inputs[0]]:
                 gets_grad.add(lay.inputs[0])
 
-    read_by_backward = {lay.inputs[0] for lay in layers if lay.name in runs}
-    last_read: dict[str, int] = {}
-    for i, lay in enumerate(layers):
-        for name in (lay.name, *lay.inputs):
-            last_read[name] = i
-    release: list[list[str]] = [[] for _ in layers]
-    for name, i in last_read.items():
-        if name not in read_by_backward:
-            release[i].append(name)
-
+    keeps = frozenset(lay.inputs[0] for lay in layers if lay.name in runs)
     keeps_patches = frozenset(lay.name for lay in layers if lay.kind == "conv" and lay.name in runs & trains)
-    return BackwardPlan(
-        spec, frozen, trains, reach, frozenset(runs), keeps_patches, tuple(tuple(names) for names in release)
-    )
+    return BackwardPlan(trains, reach, frozenset(runs), keeps_patches, keeps)
 
 
-def backward_plan(bundle: ModelBundle) -> BackwardPlan:
-    """The bundle's plan: derived on first use, and again only if its spec or frozen flags have changed."""
-    frozen = [p.frozen for p in bundle.params.values()]
-    plan = bundle.plan
-    if plan is None or plan.spec is not bundle.spec or plan.frozen != frozen:
-        plan = bundle.plan = _derive_plan(bundle.spec, bundle.params, frozen)
-    return plan
-
-
-def forward_all(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray] | None = None) -> ForwardState:
+def forward_all(
+    bundle: ModelBundle,
+    images: Tensor,
+    labels: dict[str, np.ndarray] | None = None,
+    plan: BackwardPlan = NO_BACKWARD,
+) -> ForwardState:
     """Runs the graph once; with labels, fills per-head loss, accuracy, and logit gradients.
 
-    Keeps only what the bundle's backward plan reads; every other activation
-    is dropped after the last layer that reads it.
+    Keeps what `plan`'s backward reads; every other activation is dropped
+    after the last layer that reads it. A pass that backward_multi follows
+    needs the bundle's `backward_plan`.
     """
     spec = bundle.spec
     n, c, h, w = images.shape
     if (c, h, w) != spec.input_shape:
         raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    plan = backward_plan(bundle)
     state = ForwardState(plan, {}, {}, {}, {}, n)
     activations = state.activations
-    for lay, done in zip(spec.layers, plan.release):
+    for lay, done in zip(spec.layers, spec.last_reads):
         x = activations[lay.inputs[0]] if lay.inputs else images
         out = _LAYER_OPS[lay.kind][0](bundle, state, lay, x, labels)
         if out is not None:
             activations[lay.name] = out
         for name in done:
-            activations.pop(name, None)  # a metric sink stored nothing
+            if name not in plan.keeps:
+                activations.pop(name, None)  # a metric sink stored nothing
     return state
 
 
@@ -268,9 +257,11 @@ def backward_multi(
     Returns weight/bias gradients for unfrozen layers only; layers with no
     path to any seeded head are absent (their gradient is zero). Follows the
     plan `state` was computed under: an input gradient nothing reads is not
-    computed.
+    computed. A state computed under NO_BACKWARD raises TrainError.
     """
     plan = state.plan
+    if plan is NO_BACKWARD:
+        raise TrainError("backward_multi needs a forward pass run with the bundle's backward_plan")
     out_grads: dict[str, np.ndarray] = {}
     param_grads: dict[str, tuple[Tensor, np.ndarray]] = {}
 
@@ -448,6 +439,7 @@ def train(
         max(config.epochs, 1), dtype=np.uint64
     )
     velocity: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    plan = backward_plan(bundle)
     log = TrainLog(cats.names)
     n_train = len(train_set)
 
@@ -463,7 +455,7 @@ def train(
             labels = {c: train_labels[c][idx] for c in cats.names}
             # a diverging step overflows silently: the finite-loss check is its one report
             with _quiet_fp():
-                state = forward_all(bundle, images, labels)
+                state = forward_all(bundle, images, labels, plan)
                 losses = {c: state.heads[c].loss for c in cats.names}
                 _check_finite(losses, f"epoch {epoch}, batch {batch} of {len(starts)}")
                 grads = backward_multi(bundle, state, loss_head_grads(state))

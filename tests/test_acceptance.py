@@ -30,6 +30,7 @@ from mhforge.surgery import attach_heads, build_hard_coded, build_two_model
 from mhforge.tensor_ops import Tensor
 from mhforge.training import (
     backward_multi,
+    backward_plan,
     forward_all,
     loss_head_grads,
     sgd_step,
@@ -221,7 +222,7 @@ def total_loss(bundle, images, labels):
 
 def test_backward_passes_match_central_finite_differences():
     bundle, images, labels = grad_fixture()
-    state = forward_all(bundle, images, labels)
+    state = forward_all(bundle, images, labels, backward_plan(bundle))
     grads = backward_multi(bundle, state, loss_head_grads(state))
     worst = 0.0
     for name in ("c1", "head_a", "head_b"):
@@ -238,7 +239,7 @@ def test_backward_passes_match_central_finite_differences():
 
 def test_joint_gradients_sum_exactly_and_frozen_weights_never_move():
     bundle, images, labels = grad_fixture()
-    state = forward_all(bundle, images, labels)
+    state = forward_all(bundle, images, labels, backward_plan(bundle))
     head_grads = loss_head_grads(state)
     joint = backward_multi(bundle, state, head_grads)
     parts = [backward_multi(bundle, state, {cat: head_grads[cat]}) for cat in head_grads]
@@ -261,7 +262,7 @@ def test_joint_gradients_sum_exactly_and_frozen_weights_never_move():
         imgs = Tensor(rng.uniform(0.1, 0.9, (4, 1, 6, 6)))
         lbls = {"a": rng.integers(0, 3, 4).astype(np.int64),
                 "b": rng.integers(0, 2, 4).astype(np.int64)}
-        st = forward_all(fb, imgs, lbls)
+        st = forward_all(fb, imgs, lbls, backward_plan(fb))
         sgd_step(fb.params, backward_multi(fb, st, loss_head_grads(st)), 0.1, 0.9, velocity)
     assert fb.params["c1"].weights.data.tobytes() == before_w
     assert fb.params["c1"].bias.tobytes() == before_b

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import mhforge
 from mhforge.cli import main
 
 BACKBONE = """\
@@ -342,24 +343,26 @@ class TestCompare:
 
 
 class TestThreadCap:
-    def test_thread_env_defaults_applied_before_numpy_loads(self):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["MHFORGE_THREADS"] = "3"
+    @staticmethod
+    def omp_threads_after_import(env):
+        """OMP_NUM_THREADS once a fresh interpreter, importing this mhforge, has loaded the cli."""
+        src = os.path.dirname(os.path.dirname(mhforge.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c",
              "import mhforge.cli, os; print(os.environ['OMP_NUM_THREADS'])"],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert out.stdout.strip() == "3"
+        return out.stdout.strip()
+
+    def test_thread_env_defaults_applied_before_numpy_loads(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["MHFORGE_THREADS"] = "3"
+        assert self.omp_threads_after_import(env) == "3"
 
     def test_explicit_blas_setting_wins(self):
         env = dict(os.environ)
         env["OMP_NUM_THREADS"] = "7"
         env["MHFORGE_THREADS"] = "2"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import mhforge.cli, os; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "7"
+        assert self.omp_threads_after_import(env) == "7"

@@ -1,4 +1,6 @@
-"""Parser, shape validator, serializer round-trips, and category binding."""
+"""Parser, shape validator, serializer round-trips, liveness, and category binding."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -208,6 +210,20 @@ class TestSerialize:
         once = serialize_netspec(parse_netspec(text))
         assert serialize_netspec(parse_netspec(once)) == once
         assert "stride=1 pad=0" in once
+
+
+class TestLastReads:
+    def test_tinynet(self):
+        # each output is done with at its last reader; an output nothing reads, at its own layer
+        spec = parse_netspec(TINYNET)
+        backbone = ((), ("data",), ("c1",), ("r1",), ("p1",), ("c2",), ("r2",), ("p2",))
+        sinks = (("loss_make",), ("loss_type",), ("head_make", "acc_make"), ("head_type", "acc_type"))
+        assert spec.last_reads == backbone + ((), ("g",)) + sinks
+
+    def test_replace_recomputes(self):
+        spec = parse_netspec(TINYNET)
+        trunk = dataclasses.replace(spec, layers=spec.layers[:8])
+        assert trunk.last_reads == ((), ("data",), ("c1",), ("r1",), ("p1",), ("c2",), ("r2",), ("p2", "g"))
 
 
 class TestBindCategories:

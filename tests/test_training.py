@@ -40,6 +40,7 @@ from mhforge.training import (
     TrainError,
     TrainLog,
     backward_multi,
+    backward_plan,
     evaluate,
     evaluate_hc,
     forward_all,
@@ -129,7 +130,7 @@ class TestForwardAll:
         # p1's record and c1's patch matrix; the head outputs live on in the heads' logits
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
         assert set(state.activations) == {"img", "c1", "r1", "p1", "g"}
         assert set(state.pool_maps) == {"p1"}
         assert set(state.patches) == {"c1"}
@@ -137,10 +138,16 @@ class TestForwardAll:
         assert state.batch_size == 3
         # frozen backbone: the heads' backward reads g alone
         backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
-        state = forward_all(new_bundle(attach_heads(backbone, CATS, "g"), seed=2), images, labels)
+        frozen = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
+        state = forward_all(frozen, images, labels, backward_plan(frozen))
         assert set(state.activations) == {"g"}
         assert state.pool_maps == {} and state.patches == {}
         assert set(state.heads) == {"kind", "spot"}
+        # a pass no backward follows keeps nothing but the heads
+        for b in (bundle, frozen):
+            state = forward_all(b, images, labels)
+            assert state.activations == {} and state.pool_maps == {} and state.patches == {}
+            assert set(state.heads) == {"kind", "spot"}
 
     def test_without_labels_metrics_stay_empty(self):
         bundle = make_bundle()
@@ -196,7 +203,7 @@ class TestBackwardMulti:
     def test_gradients_match_finite_differences(self):
         bundle = make_bundle(seed=3)
         images, labels = make_batch(seed=5)
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
         grads = backward_multi(bundle, state, loss_head_grads(state))
         assert set(grads) == {"c1", "head_kind", "head_spot"}
 
@@ -215,7 +222,7 @@ class TestBackwardMulti:
     def test_joint_sweep_equals_sum_of_single_loss_sweeps(self):
         bundle = make_bundle(seed=13)
         images, labels = make_batch(seed=17)
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
         seeds = loss_head_grads(state)
         joint = backward_multi(bundle, state, seeds)
         only_kind = backward_multi(bundle, state, {"kind": seeds["kind"]})
@@ -232,7 +239,7 @@ class TestBackwardMulti:
     def test_single_head_seed_reaches_shared_layers_only_once(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
         grads = backward_multi(bundle, state, {"kind": loss_head_grads(state)["kind"]})
         assert set(grads) == {"c1", "head_kind"}
 
@@ -240,7 +247,7 @@ class TestBackwardMulti:
         backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
         bundle = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
         grads = backward_multi(bundle, state, loss_head_grads(state))
         assert set(grads) == {"head_kind", "head_spot"}
 
@@ -248,7 +255,7 @@ class TestBackwardMulti:
         backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
         bundle = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
 
         def bomb(*args, **kwargs):
             raise AssertionError("backward touched a layer below every unfrozen parameter")
@@ -264,8 +271,17 @@ class TestBackwardMulti:
     def test_empty_seed_gradients_give_empty_result(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
         assert backward_multi(bundle, state, {}) == {}
+
+    def test_a_pass_without_a_plan_cannot_run_backward(self):
+        bundle = make_bundle()
+        images, labels = make_batch()
+        state = forward_all(bundle, images, labels)
+        with pytest.raises(TrainError, match="backward_plan"):
+            backward_multi(bundle, state, loss_head_grads(state))
+        with pytest.raises(TrainError, match="backward_plan"):
+            backward_multi(bundle, state, {})
 
     def test_loss_head_grads_apply_loss_weights(self):
         bundle = make_bundle()
@@ -279,7 +295,8 @@ class TestBackwardMulti:
 def forward_keeping_everything(bundle, images, labels):
     """The reference forward pass: keeps every activation and no patch matrix, so backward builds its own."""
     plan = training_mod.backward_plan(bundle)
-    everything = dataclasses.replace(plan, keeps_patches=frozenset(), release=((),) * len(plan.release))
+    every_layer = frozenset(l.name for l in bundle.spec.layers)
+    everything = dataclasses.replace(plan, keeps_patches=frozenset(), keeps=every_layer)
     state = training_mod.ForwardState(everything, {}, {}, {}, {}, images.shape[0])
     for lay in bundle.spec.layers:
         x = state.activations[lay.inputs[0]] if lay.inputs else images
@@ -321,10 +338,15 @@ class TestBackwardPlan:
             bundle = new_bundle(spec, seed=case)
             images = Tensor(rng.uniform(-1, 1, (3, *spec.input_shape)))
             labels = {h.head_tag: rng.integers(0, h.out_features, 3) for h in spec.heads()}
-            state = forward_all(bundle, images, labels)
+            state = forward_all(bundle, images, labels, backward_plan(bundle))
+            plain = forward_all(bundle, images, labels)
             ref = forward_keeping_everything(bundle, images, labels)
             for cat, hr in ref.heads.items():
                 assert np.float64(state.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (case, cat)
+                assert np.float64(plain.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (case, cat)
+                assert plain.heads[cat].logits.data.tobytes() == hr.logits.data.tobytes(), (case, cat)
+            # a pass no backward follows is left holding nothing
+            assert plain.activations == {} and plain.pool_maps == {} and plain.patches == {}, case
             seeds = loss_head_grads(ref)
             want = backward_multi(bundle, ref, seeds)
             # what the pass kept is exactly what backward reads
@@ -375,7 +397,7 @@ class TestBackwardPlan:
             for bundle, trained in ((trains_c2, heads | {"c2"}), (heads_only, heads)):
                 patch_builds.clear()
                 backward_calls.clear()
-                state = forward_all(bundle, images, labels)
+                state = forward_all(bundle, images, labels, backward_plan(bundle))
                 grads = backward_multi(bundle, state, loss_head_grads(state))
                 assert set(grads) == trained
                 assert patch_builds == [False, False]  # c1 and c2 forward, none in backward
@@ -383,12 +405,47 @@ class TestBackwardPlan:
                 assert sorted(backward_calls) == sorted(
                     [(n, gx_read, gx_read) for n in heads] + [("c2", False, False)] * gx_read
                 )
-        assert training_mod.backward_plan(trains_c2) is training_mod.backward_plan(trains_c2)
-        assert training_mod.backward_plan(trains_c2).keeps_patches == {"c2"}
-        assert training_mod.backward_plan(heads_only).keeps_patches == frozenset()
+        assert backward_plan(trains_c2) == backward_plan(trains_c2)
+        assert backward_plan(trains_c2).keeps_patches == {"c2"}
+        assert backward_plan(heads_only).keeps_patches == frozenset()
         # a changed frozen flag gets the bundle a new plan
         heads_only.params["c2"].frozen = False
-        assert training_mod.backward_plan(heads_only).keeps_patches == {"c2"}
+        assert backward_plan(heads_only).keeps_patches == {"c2"}
+
+    def test_train_keeps_patches_on_training_batches_only(self, tmp_path, monkeypatch):
+        # each (kind, spot) combination twice: one image trains, one validates
+        rng = np.random.default_rng(8)
+        entries = []
+        for i in range(12):
+            path = str(tmp_path / f"img_{i:02d}.pgm")
+            save_pgm(path, rng.uniform(0, 1, (34, 34)))
+            entries.append(ManifestEntry(path, (i % 3, i // 3 % 2)))
+        bundle = new_bundle(finetune_shaped_spec(), seed=0)
+        names = {id(p): n for n, p in bundle.params.items()}
+
+        phase = ["training"]
+        seen = []  # (phase, conv layer, keep_patches) per conv forward
+        conv = training_mod.conv2d_forward
+        evaluate_arrays = training_mod._evaluate_arrays
+
+        def spy_conv(x, params, *args, **kwargs):
+            seen.append((phase[0], names[id(params)], kwargs.get("keep_patches", False)))
+            return conv(x, params, *args, **kwargs)
+
+        def spy_validation(*args):
+            phase[0] = "validation"
+            try:
+                return evaluate_arrays(*args)
+            finally:
+                phase[0] = "training"
+
+        monkeypatch.setattr(training_mod, "conv2d_forward", spy_conv)
+        monkeypatch.setattr(training_mod, "_evaluate_arrays", spy_validation)
+        train(bundle, entries, TrainConfig(epochs=2, batch_size=4, learning_rate=0.1, seed=0))
+        # per epoch: two training batches of 4 and 2 images, then one validation chunk of 6
+        epoch = [("training", "c1", False), ("training", "c2", True)] * 2
+        epoch += [("validation", "c1", False), ("validation", "c2", False)]
+        assert seen == epoch * 2
 
 
 class TestSgdStep:
