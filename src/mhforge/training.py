@@ -164,15 +164,16 @@ def _accuracy_forward(bundle, state, lay, x, labels):
 # kind -> (forward, backward). forward(bundle, state, lay, x, labels) returns the output, None for a
 # metric sink; backward(bundle, state, lay, x, grad_out, input_grad) returns the input gradient (None
 # when input_grad is false and the kind has parameters), then the weight and bias gradients of a
-# parameterised kind. Ops are looked up by name at each call, never stored, so the function this
-# module's attribute holds at call time (a tracer's wrapper, say) is what runs.
+# parameterised kind, None (and not computed) where the layer is frozen. Ops are looked up by name at
+# each call, never stored, so the function this module's attribute holds at call time (a tracer's
+# wrapper, say) is what runs.
 _LAYER_OPS = {
     "input": (lambda bundle, state, lay, x, labels: x, None),
     "conv": (
         _conv_forward,
         lambda bundle, state, lay, x, g, input_grad: conv2d_backward(
-            x, bundle.params[lay.name], g, lay.stride, lay.pad,
-            input_grad=input_grad, patches=state.patches.get(lay.name),
+            x, bundle.params[lay.name], g, lay.stride, lay.pad, input_grad=input_grad,
+            weight_grad=lay.name in state.plan.trains, patches=state.patches.get(lay.name),
         ),
     ),
     "relu": (
@@ -190,7 +191,7 @@ _LAYER_OPS = {
     "fc": (
         _fc_forward,
         lambda bundle, state, lay, x, g, input_grad: fully_connected_backward(
-            x, bundle.params[lay.name], g, input_grad=input_grad
+            x, bundle.params[lay.name], g, input_grad=input_grad, weight_grad=lay.name in state.plan.trains
         ),
     ),
     "loss": (_loss_forward, None),

@@ -1,9 +1,10 @@
 """Slow reference implementations the fast code is checked against.
 
 Everything here trades speed for obviousness: plain Python loops,
-one arithmetic step per line, no numpy vectorization tricks. The one
-exception is the tensordot convolution, kept as the bitwise reference for
-the GEMM convolution that replaced it.
+one arithmetic step per line, no numpy vectorization tricks. The
+exceptions are the tensordot convolution, kept as the bitwise reference for
+the GEMM convolution that replaced it, and the strided patch-matrix fill,
+kept as the reference for the gather that replaced it.
 """
 
 import numpy as np
@@ -48,6 +49,22 @@ def naive_conv2d(x, w, b, stride, pad):
     return out
 
 
+def strided_patch_matrix(x, k, stride, pad, hout, wout):
+    """The strided fill tensor_ops._patch_matrix replaced: K*K strided slice copies from a zero-padded copy.
+
+    Same arguments and result: the C-contiguous (N*Hout*Wout, C*K*K) patch
+    matrix, columns in (c, kh, kw) order.
+    """
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, hout, wout, c, k, k))
+    for kh in range(k):
+        for kw in range(k):
+            cols[:, :, :, :, kh, kw] = xp[:, kh : kh + hout * stride : stride, kw : kw + wout * stride : stride]
+    return cols.reshape(n * hout * wout, c * k * k)
+
+
 def _tensordot_windows(x, k, stride, pad):
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     return xp, sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -66,11 +83,14 @@ def tensordot_conv2d_forward(input, params, stride=1, pad=0, keep_patches=False)
     return (out, win) if keep_patches else out
 
 
-def tensordot_conv2d_backward(input, params, grad_out, stride=1, pad=0, input_grad=True, patches=None):
+def tensordot_conv2d_backward(
+    input, params, grad_out, stride=1, pad=0, input_grad=True, patches=None, weight_grad=True
+):
     """The tensordot gradients conv2d_backward replaced: (grad input, grad weights, grad bias).
 
     `patches` is the window view tensordot_conv2d_forward kept, if any;
-    without input_grad the input gradient is None.
+    without input_grad the input gradient is None, without weight_grad the
+    weight and bias gradients are.
     """
     k = params.weights.shape[2]
     n, c, h, w = input.shape
@@ -79,10 +99,12 @@ def tensordot_conv2d_backward(input, params, grad_out, stride=1, pad=0, input_gr
     xp, win = _tensordot_windows(input.data, k, stride, pad)
     if patches is not None:
         win = patches
-    grad_bias = g.sum(axis=(0, 2, 3))
-    grad_w = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    grad_w = grad_bias = None
+    if weight_grad:
+        grad_bias = g.sum(axis=(0, 2, 3))
+        grad_w = Tensor(np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
     if not input_grad:
-        return None, Tensor(grad_w), grad_bias
+        return None, grad_w, grad_bias
     gxp = np.zeros_like(xp)
     wdat = params.weights.data
     for kh in range(k):
@@ -93,7 +115,7 @@ def tensordot_conv2d_backward(input, params, grad_out, stride=1, pad=0, input_gr
                 0, 3, 1, 2
             )
     gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
-    return Tensor(gx), Tensor(grad_w), grad_bias
+    return Tensor(gx), grad_w, grad_bias
 
 
 def naive_conv2d_backward(x, w, g, stride, pad):

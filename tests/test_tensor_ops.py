@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import mhforge.tensor_ops as tensor_ops_mod
 from mhforge.tensor_ops import (
     LayerParams,
     ShapeMismatch,
@@ -33,6 +34,7 @@ from helpers import (
     naive_maxpool2d_backward,
     rand_tensor,
     rel_err,
+    strided_patch_matrix,
     tensordot_conv2d_backward,
     tensordot_conv2d_forward,
 )
@@ -128,6 +130,21 @@ class TestConvBackward:
         p = LayerParams(Tensor.zeros((1, 1, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
             conv2d_backward(x, p, Tensor.zeros((1, 1, 4, 4)), 1, 0)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+    def test_without_weight_grad_builds_no_patch_matrix(self, stride, pad, monkeypatch):
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
+        params = LayerParams(Tensor(rng.uniform(-1, 1, (3, 2, 3, 3))), rng.uniform(-1, 1, 3))
+        g = Tensor(rng.uniform(-1, 1, conv2d_forward(x, params, stride, pad).shape))
+        gx, _, _ = conv2d_backward(x, params, g, stride, pad)
+        builds = []
+        build = tensor_ops_mod._patch_matrix
+        monkeypatch.setattr(tensor_ops_mod, "_patch_matrix", lambda *args: builds.append(args) or build(*args))
+        gx2, gw2, gb2 = conv2d_backward(x, params, g, stride, pad, weight_grad=False)
+        assert builds == []
+        assert gw2 is None and gb2 is None
+        assert gx2.data.tobytes() == gx.data.tobytes()
 
 
 def conv_results(op_forward, op_backward, x, w, b, g, stride, pad):
@@ -225,6 +242,46 @@ class TestConvMatchesTensordot:
         for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref):
             assert a.tobytes() == r.tobytes(), name
         assert partial_call_mismatches(got, x, wt, b, g, 1, 1, seed=(n, cin)) == []
+
+
+class TestPatchMatrixMatchesStridedFill:
+    """The gather fill of the patch matrix against the strided fill it replaced, bit for bit.
+
+    The grid covers non-square inputs, strides larger than the kernel, and
+    pads of at least the kernel size, where whole patch rows are padding.
+    """
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_grid(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        mismatched = []
+        for c, stride, (h, w), pad in itertools.product([1, 3, 8], [1, 2, 3], [(9, 7), (5, 11)], [0, 1, k, k + 1]):
+            hout = (h + 2 * pad - k) // stride + 1
+            wout = (w + 2 * pad - k) // stride + 1
+            if hout < 1 or wout < 1:
+                continue
+            x = rng.uniform(-1, 1, (n, c, h, w))
+            got = tensor_ops_mod._patch_matrix(x, k, stride, pad, hout, wout)
+            want = strided_patch_matrix(x, k, stride, pad, hout, wout)
+            if pad >= k:
+                assert not got[0].any()  # the first receptive field lies wholly in the padding
+            if not got.flags.c_contiguous or got.shape != want.shape or got.tobytes() != want.tobytes():
+                mismatched.append((c, stride, h, w, pad))
+        assert mismatched == [], f"(c, stride, h, w, pad) not bitwise equal at n={n}, k={k}"
+
+    def test_index_is_built_once_per_geometry_and_read_only(self):
+        geometry = (3, 9, 7, 3, 2, 1)  # c, h, w, k, stride, pad
+        index = tensor_ops_mod._patch_index(*geometry)
+        assert tensor_ops_mod._patch_index(*geometry) is index
+        assert index.dtype == np.intp and index.shape == (5 * 4, 3 * 3 * 3)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+        for at in range(len(geometry)):
+            other = list(geometry)
+            other[at] += 1
+            assert tensor_ops_mod._patch_index(*other) is not index, at
 
 
 class TestMaxpool:
@@ -420,6 +477,16 @@ class TestFullyConnected:
         assert rel_err(gw.data, finite_diff(scalar, w)) < 1e-6
         assert rel_err(gb, finite_diff(scalar, b)) < 1e-6
 
+    def test_without_weight_grad_only_the_input_gradient_is_computed(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 2, 2)))
+        params = LayerParams(Tensor(rng.uniform(-1, 1, (4, 12, 1, 1))), rng.uniform(-1, 1, 4))
+        g = Tensor(rng.uniform(-1, 1, (2, 4, 1, 1)))
+        gx, _, _ = fully_connected_backward(x, params, g)
+        gx2, gw2, gb2 = fully_connected_backward(x, params, g, weight_grad=False)
+        assert gw2 is None and gb2 is None
+        assert gx2.data.tobytes() == gx.data.tobytes()
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_way_is_ln2(self):
@@ -469,6 +536,10 @@ class TestSoftmaxCrossEntropy:
     def test_negative_label_rejected(self):
         with pytest.raises(ShapeMismatch, match="label -1"):
             softmax_cross_entropy(Tensor.zeros((1, 3, 1, 1)), [-1])
+
+    def test_first_of_several_bad_rows_is_named(self):
+        with pytest.raises(ShapeMismatch, match=r"^row 2: label 3 out of range \[0, 3\)$"):
+            softmax_cross_entropy(Tensor.zeros((5, 3, 1, 1)), [0, 2, 3, -1, 9])
 
 
 class TestAccuracy:

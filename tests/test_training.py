@@ -330,35 +330,121 @@ def finetune_shaped_spec():
     return dataclasses.replace(spec, layers=layers)
 
 
+def weight_grads_always(monkeypatch):
+    """Makes the conv and fc backward ops compute weight gradients for frozen layers too, which backward_multi
+    then discards: the reference a backward that skips them must match."""
+    for op in ("conv2d_backward", "fully_connected_backward"):
+        def always(*args, full=getattr(training_mod, op), weight_grad=None, **kwargs):
+            return full(*args, **kwargs)  # weight_grad left at its default, True
+        monkeypatch.setattr(training_mod, op, always)
+
+
+def spy_weight_grads(monkeypatch, names):
+    """Records (layer, weight_grad, weight gradient returned) for every conv and fc backward call."""
+    calls = []
+    for op in ("conv2d_backward", "fully_connected_backward"):
+        def spy(x, params, *args, op=getattr(training_mod, op), **kwargs):
+            result = op(x, params, *args, **kwargs)
+            calls.append((names[id(params)], kwargs["weight_grad"], result[1] is not None))
+            return result
+        monkeypatch.setattr(training_mod, op, spy)
+    return calls
+
+
 class TestBackwardPlan:
-    def test_random_specs_match_a_forward_that_keeps_everything(self):
+    def test_random_specs_match_a_forward_that_keeps_everything(self, monkeypatch):
+        """Each random spec runs with its frozen flags as drawn, then with only its lowest parameterised
+        layer trainable, so that frozen layers sit above a trainable one."""
         rng = np.random.default_rng(2024)
+        frozen_above_trainable = 0  # backward calls that passed a gradient through a frozen conv or fc
         for case in range(60):
             spec = parse_netspec(random_spec_text(rng))
             bundle = new_bundle(spec, seed=case)
+            names = {id(p): n for n, p in bundle.params.items()}
             images = Tensor(rng.uniform(-1, 1, (3, *spec.input_shape)))
             labels = {h.head_tag: rng.integers(0, h.out_features, 3) for h in spec.heads()}
-            state = forward_all(bundle, images, labels, backward_plan(bundle))
-            plain = forward_all(bundle, images, labels)
-            ref = forward_keeping_everything(bundle, images, labels)
-            for cat, hr in ref.heads.items():
-                assert np.float64(state.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (case, cat)
-                assert np.float64(plain.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (case, cat)
-                assert plain.heads[cat].logits.data.tobytes() == hr.logits.data.tobytes(), (case, cat)
-            # a pass no backward follows is left holding nothing
-            assert plain.activations == {} and plain.pool_maps == {} and plain.patches == {}, case
-            seeds = loss_head_grads(ref)
-            want = backward_multi(bundle, ref, seeds)
-            # what the pass kept is exactly what backward reads
-            for field in ("activations", "pool_maps", "patches"):
-                setattr(state, field, ReadLog(getattr(state, field)))
-            got = backward_multi(bundle, state, seeds)
-            for field in ("activations", "pool_maps", "patches"):
-                assert getattr(state, field).read == set(getattr(state, field)), (case, field)
-            assert set(got) == set(want), case
-            for name, (gw, gb) in want.items():
-                assert got[name][0].data.tobytes() == gw.data.tobytes(), (case, name)
-                assert got[name][1].tobytes() == gb.tobytes(), (case, name)
+            lowest = next(l.name for l in spec.layers if l.has_params)
+            for flags in ("as drawn", "lowest trains"):
+                if flags == "lowest trains":
+                    for name, p in bundle.params.items():
+                        p.frozen = name != lowest
+                where = (case, flags)
+                plan = backward_plan(bundle)
+                state = forward_all(bundle, images, labels, plan)
+                plain = forward_all(bundle, images, labels)
+                ref = forward_keeping_everything(bundle, images, labels)
+                for cat, hr in ref.heads.items():
+                    assert np.float64(state.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (where, cat)
+                    assert np.float64(plain.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (where, cat)
+                    assert plain.heads[cat].logits.data.tobytes() == hr.logits.data.tobytes(), (where, cat)
+                # a pass no backward follows is left holding nothing
+                assert plain.activations == {} and plain.pool_maps == {} and plain.patches == {}, where
+                seeds = loss_head_grads(ref)
+                with monkeypatch.context() as m:
+                    weight_grads_always(m)
+                    want = backward_multi(bundle, ref, seeds)
+                # what the pass kept is exactly what backward reads
+                for field in ("activations", "pool_maps", "patches"):
+                    setattr(state, field, ReadLog(getattr(state, field)))
+                with monkeypatch.context() as m:
+                    calls = spy_weight_grads(m, names)
+                    got = backward_multi(bundle, state, seeds)
+                for field in ("activations", "pool_maps", "patches"):
+                    assert getattr(state, field).read == set(getattr(state, field)), (where, field)
+                # only a layer that trains gets its weight gradients computed
+                assert all(asked == returned == (name in plan.trains) for name, asked, returned in calls), where
+                frozen_above_trainable += sum(not asked for _, asked, _ in calls)
+                assert set(got) == set(want), where
+                for name, (gw, gb) in want.items():
+                    assert got[name][0].data.tobytes() == gw.data.tobytes(), (where, name)
+                    assert got[name][1].tobytes() == gb.tobytes(), (where, name)
+        assert frozen_above_trainable >= 30
+
+    def test_frozen_layers_above_a_trainable_conv_compute_no_weight_gradients(self, monkeypatch):
+        import mhforge.tensor_ops as tensor_ops_mod
+
+        # c1 and head_kind train; c2 and head_spot only pass gradients down to c1
+        bundle = new_bundle(attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), CATS, "g"), seed=0)
+        for name, p in bundle.params.items():
+            p.frozen = name not in ("c1", "head_kind")
+        names = {id(p): n for n, p in bundle.params.items()}
+        _, labels = make_batch(n=2)
+        images = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 1, 34, 34)))
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
+        seeds = loss_head_grads(state)
+        with monkeypatch.context() as m:
+            weight_grads_always(m)
+            want = backward_multi(bundle, state, seeds)
+
+        in_backward = []  # the layer whose backward is running
+        patch_builds = []  # per _patch_matrix call: that layer, or None in a forward pass
+        build = tensor_ops_mod._patch_matrix
+
+        def spy_build(*args):
+            patch_builds.append(in_backward[-1] if in_backward else None)
+            return build(*args)
+
+        calls = spy_weight_grads(monkeypatch, names)
+        conv_backward = training_mod.conv2d_backward
+
+        def conv_backward_in(x, params, *args, **kwargs):
+            in_backward.append(names[id(params)])
+            try:
+                return conv_backward(x, params, *args, **kwargs)
+            finally:
+                in_backward.pop()
+
+        monkeypatch.setattr(tensor_ops_mod, "_patch_matrix", spy_build)
+        monkeypatch.setattr(training_mod, "conv2d_backward", conv_backward_in)
+        state = forward_all(bundle, images, labels, backward_plan(bundle))
+        got = backward_multi(bundle, state, seeds)
+        assert patch_builds == [None, None]  # c1 and c2 forward; c1 multiplies its kept matrix
+        assert sorted(calls) == [("c1", True, True), ("c2", False, False), ("head_kind", True, True),
+                                 ("head_spot", False, False)]
+        assert set(got) == set(want) == {"c1", "head_kind"}
+        for name, (gw, gb) in want.items():
+            assert got[name][0].data.tobytes() == gw.data.tobytes(), name
+            assert got[name][1].tobytes() == gb.tobytes(), name
 
     def test_finetune_shaped_steps_build_patches_once_and_skip_unread_input_gradients(self, monkeypatch):
         import mhforge.tensor_ops as tensor_ops_mod
