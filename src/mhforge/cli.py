@@ -71,8 +71,11 @@ def _write_json(path: str, payload) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise MhforgeError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _run_manifest(out_dir: str, command: str, args: argparse.Namespace, artifacts: list[str]) -> None:

@@ -1,5 +1,9 @@
 """Self-describing binary model files: spec text, label maps, and 32-bit weights.
 
+A bundle is its spec and its parameters: the label maps are the spec's bound
+categories, which are exactly its head tags, so loading refuses label maps
+that name a category no head classifies.
+
 Layout, all integers little-endian u32:
 
     8 bytes   magic "MHFORGE1"
@@ -17,7 +21,7 @@ description alone (see analysis.estimate_size).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -38,12 +42,10 @@ class ModelFileError(MhforgeError):
 
 @dataclass
 class ModelBundle:
-    """A network description plus its parameters and label-index -> name maps."""
+    """A network description (with its bound label categories) plus its parameters."""
 
     spec: NetworkSpec
     params: dict[str, LayerParams]
-    label_maps: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         for lay in self.spec.param_layers():
@@ -51,22 +53,18 @@ class ModelBundle:
                 raise ModelFileError(f"layer {lay.name} has no parameters")
 
 
-def label_maps_from_categories(categories: LabelCategories | None) -> dict[str, tuple[str, ...]]:
+def serialize_label_maps(categories: LabelCategories | None) -> str:
     if categories is None:
-        return {}
-    return dict(zip(categories.names, categories.class_names))
-
-
-def serialize_label_maps(label_maps: dict[str, tuple[str, ...]]) -> str:
+        return ""
     lines = []
-    for name, classes in label_maps.items():
+    for name, classes in zip(categories.names, categories.class_names):
         lines.append(f"category {name}")
         for i, cls in enumerate(classes):
             lines.append(f"{i}: {cls}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines) + "\n"
 
 
-def parse_label_maps(text: str) -> dict[str, tuple[str, ...]]:
+def parse_label_maps(text: str) -> LabelCategories | None:
     maps: dict[str, list[str]] = {}
     current: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -88,13 +86,7 @@ def parse_label_maps(text: str) -> dict[str, tuple[str, ...]]:
         if int(idx_s) != len(current):
             raise ModelFileError(f"label maps line {lineno}: index {idx_s.strip()} out of order")
         current.append(cls)
-    return {k: tuple(v) for k, v in maps.items()}
-
-
-def categories_from_label_maps(label_maps: dict[str, tuple[str, ...]]) -> LabelCategories | None:
-    if not label_maps:
-        return None
-    return LabelCategories(tuple(label_maps), tuple(label_maps.values()))
+    return LabelCategories(tuple(maps), tuple(map(tuple, maps.values()))) if maps else None
 
 
 def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
@@ -114,20 +106,20 @@ def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
             params[name] = init_params(
                 lay.kind, out_dim=out_dim, in_dim=in_dim, kernel=kernel, seed=int(layer_seed), frozen=lay.frozen
             )
-    return ModelBundle(spec, params, label_maps_from_categories(spec.categories))
+    return ModelBundle(spec, params)
 
 
-def _header(spec: NetworkSpec, label_maps: dict[str, tuple[str, ...]], version: int) -> list[bytes]:
+def _header(spec: NetworkSpec) -> list[bytes]:
     """Magic, version, and the two length-prefixed texts: the network description and the label maps."""
     spec_text = serialize_netspec(spec).encode("utf-8")
-    maps_text = serialize_label_maps(label_maps).encode("utf-8")
+    maps_text = serialize_label_maps(spec.categories).encode("utf-8")
     u32 = struct.Struct("<I").pack
-    return [MAGIC, u32(version), u32(len(spec_text)), spec_text, u32(len(maps_text)), maps_text]
+    return [MAGIC, u32(FORMAT_VERSION), u32(len(spec_text)), spec_text, u32(len(maps_text)), maps_text]
 
 
 def header_bytes(spec: NetworkSpec) -> int:
-    """Bytes before the weight payload (magic, version, both texts) of a file saved from `new_bundle(spec)`."""
-    return sum(map(len, _header(spec, label_maps_from_categories(spec.categories), FORMAT_VERSION)))
+    """Bytes before the weight payload (magic, version, both texts) of a file saved from a bundle of `spec`."""
+    return sum(map(len, _header(spec)))
 
 
 def save_model(bundle: ModelBundle, path: str) -> int:
@@ -145,7 +137,7 @@ def save_model(bundle: ModelBundle, path: str) -> int:
         if not all(np.isfinite(a).all() for a in arrays):
             raise ModelFileError(f"layer {lay.name}: weights or bias are not finite as float32; nothing written")
         payload += [a.tobytes() for a in arrays]
-    return write_atomic(path, _header(bundle.spec, bundle.label_maps, bundle.format_version) + payload)
+    return write_atomic(path, _header(bundle.spec) + payload)
 
 
 def load_model(path: str) -> ModelBundle:
@@ -164,19 +156,26 @@ def load_model(path: str) -> ModelBundle:
         pos += count
         return chunk
 
+    def text(what: str) -> str:
+        (length,) = struct.unpack("<I", take(4, f"{what} length"))
+        try:
+            return take(length, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"{path}: {what} is not UTF-8 text (byte {exc.start} of it: {exc.reason})") from None
+
     (version,) = struct.unpack("<I", take(4, "format version"))
     if version != FORMAT_VERSION:
         raise ModelFileError(f"{path}: format version {version} not supported (want {FORMAT_VERSION})")
-    (spec_len,) = struct.unpack("<I", take(4, "spec length"))
-    spec_text = take(spec_len, "network description").decode("utf-8")
-    (maps_len,) = struct.unpack("<I", take(4, "label maps length"))
-    maps_text = take(maps_len, "label maps").decode("utf-8")
+    spec_text = text("network description")
+    maps_text = text("label maps")
 
     spec = parse_netspec(spec_text)
-    label_maps = parse_label_maps(maps_text)
-    categories = categories_from_label_maps(label_maps)
+    categories = parse_label_maps(maps_text)
     if categories is not None:
         spec = bind_categories(spec, categories)
+        extra = [name for name in categories.names if name not in spec.categories.names]
+        if extra:
+            raise ModelFileError(f"{path}: label maps name categories no head classifies: {extra}")
 
     params = {}
     for name, wshape in weight_shapes(spec).items():
@@ -189,4 +188,4 @@ def load_model(path: str) -> ModelBundle:
         params[name] = LayerParams(Tensor(weights), bias, spec.layer(name).frozen)
     if pos != len(blob):
         raise ModelFileError(f"{path}: {len(blob) - pos} trailing bytes after weights")
-    return ModelBundle(spec, params, label_maps, version)
+    return ModelBundle(spec, params)

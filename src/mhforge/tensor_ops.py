@@ -41,20 +41,9 @@ class Tensor:
     def shape(self) -> Shape4:
         return self.data.shape  # type: ignore[return-value]
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     @classmethod
     def zeros(cls, shape: Shape4) -> "Tensor":
         return cls(np.zeros(shape))
-
-    @classmethod
-    def full(cls, shape: Shape4, value: float) -> "Tensor":
-        return cls(np.full(shape, float(value)))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -81,9 +70,6 @@ class LayerParams:
             raise ShapeMismatch(
                 f"bias length {self.bias.shape[0]} != output channels {self.weights.shape[0]}"
             )
-
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.bias.copy(), self.frozen)
 
 
 def window_out_dim(size: int, kernel: int, stride: int, pad: int = 0) -> int:

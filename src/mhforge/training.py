@@ -13,6 +13,11 @@ inputs, a maxpool's record where that pool's backward runs, and a trainable
 conv's patch matrix for its weight gradient. Every other pass (validation,
 evaluation, prediction) runs under `NO_BACKWARD` and drops each activation
 after its last reader.
+
+Validation, `evaluate` and `evaluate_hc` score a labelled image set through
+one loop, `_chunks`, which runs one such pass per EVAL_CHUNK images. The
+images and label columns of both split sides and of `evaluate` come from one
+step, `_arrays`.
 """
 
 from __future__ import annotations
@@ -79,11 +84,9 @@ class TrainConfig:
 class HeadResult:
     """Per-category outputs of one forward pass."""
 
-    category: str
     layer_name: str
     logits: Tensor
     loss_weight: float
-    probs: np.ndarray | None = None
     loss: float | None = None
     accuracy: float | None = None
     grad_logits: np.ndarray | None = None
@@ -135,7 +138,7 @@ def _conv_forward(bundle, state, lay, x, labels):
 def _fc_forward(bundle, state, lay, x, labels):
     out = fully_connected(x, bundle.params[lay.name])
     if lay.head_tag is not None:
-        state.heads[lay.head_tag] = HeadResult(lay.head_tag, lay.name, out, 1.0)
+        state.heads[lay.head_tag] = HeadResult(lay.name, out, 1.0)
     return out
 
 
@@ -152,7 +155,7 @@ def _loss_forward(bundle, state, lay, x, labels):
     if labels is not None:
         if lay.label_slot not in labels:
             raise TrainError(f"no labels for category {lay.label_slot!r}")
-        hr.loss, hr.probs, hr.grad_logits = softmax_cross_entropy(hr.logits, labels[lay.label_slot])
+        hr.loss, _, hr.grad_logits = softmax_cross_entropy(hr.logits, labels[lay.label_slot])
 
 
 def _accuracy_forward(bundle, state, lay, x, labels):
@@ -370,11 +373,12 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _label_arrays(entries: list[ManifestEntry], categories) -> dict[str, np.ndarray]:
-    return {
-        cat: np.array([e.labels[k] for e in entries], dtype=np.int64)
-        for k, cat in enumerate(categories.names)
-    }
+def _arrays(entries: list[ManifestEntry], full_cats, cats) -> tuple[Tensor, dict[str, np.ndarray]]:
+    """The entries' images and int64 label columns for `cats`, projected from the manifest's `full_cats`."""
+    if full_cats.names != cats.names:
+        entries = project_entries(entries, full_cats, cats.names)
+    labels = {cat: np.array([e.labels[k] for e in entries], dtype=np.int64) for k, cat in enumerate(cats.names)}
+    return load_images(entries), labels
 
 
 def _manifest_view(bundle: ModelBundle, entries: list[ManifestEntry], manifest_categories):
@@ -427,14 +431,8 @@ def train(
     full_cats = _manifest_view(bundle, entries, manifest_categories)
     cats = bundle.spec.categories
     train_set, val_set = split_entries(entries, config.split_fraction, config.seed)
-    if full_cats.names != cats.names:
-        train_set = project_entries(train_set, full_cats, cats.names)
-        val_set = project_entries(val_set, full_cats, cats.names)
-
-    train_images = load_images(train_set)
-    train_labels = _label_arrays(train_set, cats)
-    val_images = load_images(val_set) if val_set else None
-    val_labels = _label_arrays(val_set, cats) if val_set else None
+    train_images, train_labels = _arrays(train_set, full_cats, cats)
+    val = _arrays(val_set, full_cats, cats) if val_set else None
 
     epoch_seeds = np.random.SeedSequence((config.seed & SEED_MASK, 0x45)).generate_state(
         max(config.epochs, 1), dtype=np.uint64
@@ -466,9 +464,9 @@ def train(
                 hits[c] += state.heads[c].accuracy * len(idx)
         train_loss = {c: sums[c] / n_train for c in cats.names}
         train_acc = {c: hits[c] / n_train for c in cats.names}
-        if val_images is not None:
+        if val is not None:
             with _quiet_fp():
-                val_metrics = _evaluate_arrays(bundle, val_images, val_labels)
+                val_metrics = _evaluate_arrays(bundle, *val)
             val_loss = {c: val_metrics[c][0] for c in cats.names}
             _check_finite(val_loss, f"epoch {epoch}, validation")
             val_acc = {c: val_metrics[c][1] for c in cats.names}
@@ -481,6 +479,13 @@ def train(
     return bundle, log
 
 
+def _chunks(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]):
+    """Scores the images EVAL_CHUNK at a time: yields (rows, state), one NO_BACKWARD pass per slice."""
+    for start in range(0, images.shape[0], EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        yield rows, forward_all(bundle, Tensor(images.data[rows]), {c: lab[rows] for c, lab in labels.items()})
+
+
 def _evaluate_arrays(
     bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]
 ) -> dict[str, tuple[float, float]]:
@@ -488,13 +493,10 @@ def _evaluate_arrays(
     n = images.shape[0]
     sums = {c: 0.0 for c in cats.names}
     hits = {c: 0.0 for c in cats.names}
-    for start in range(0, n, EVAL_CHUNK):
-        part = Tensor(images.data[start : start + EVAL_CHUNK])
-        part_labels = {c: labels[c][start : start + EVAL_CHUNK] for c in cats.names}
-        state = forward_all(bundle, part, part_labels)
+    for _, state in _chunks(bundle, images, labels):
         for c in cats.names:
-            sums[c] += state.heads[c].loss * part.shape[0]
-            hits[c] += state.heads[c].accuracy * part.shape[0]
+            sums[c] += state.heads[c].loss * state.batch_size
+            hits[c] += state.heads[c].accuracy * state.batch_size
     return {c: (sums[c] / n, hits[c] / n) for c in cats.names}
 
 
@@ -503,12 +505,7 @@ def evaluate(
 ) -> dict[str, tuple[float, float]]:
     """Per-category (loss, accuracy) without touching any parameter."""
     full_cats = _manifest_view(bundle, entries, manifest_categories)
-    cats = bundle.spec.categories
-    if full_cats.names != cats.names:
-        entries = project_entries(entries, full_cats, cats.names)
-    images = load_images(entries)
-    labels = _label_arrays(entries, cats)
-    return _evaluate_arrays(bundle, images, labels)
+    return _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories))
 
 
 @dataclass(frozen=True)
@@ -547,21 +544,19 @@ def evaluate_hc(
     combos = np.array(hc_map.combos, dtype=np.int64)  # (n_combos, n_cats)
     true_labels = np.array([e.labels for e in entries], dtype=np.int64)
 
-    for start in range(0, n, EVAL_CHUNK):
-        stop = min(start + EVAL_CHUNK, n)
-        part = Tensor(images.data[start:stop])
-        state = forward_all(bundle, part, {cat_name: hc_ids[start:stop]})
+    for rows, state in _chunks(bundle, images, {cat_name: hc_ids}):
         hr = state.heads[cat_name]
-        total_loss += hr.loss * (stop - start)
-        total_hits += hr.accuracy * (stop - start)
-        z = hr.logits.data.reshape(stop - start, -1)
+        total_loss += hr.loss * state.batch_size
+        total_hits += hr.accuracy * state.batch_size
+        z = hr.logits.data.reshape(state.batch_size, -1)
+        truth = true_labels[rows]
         decoded = combos[z.argmax(axis=1)]  # (batch, n_cats)
-        cat_hits += (decoded == true_labels[start:stop]).sum(axis=0)
+        cat_hits += (decoded == truth).sum(axis=0)
         shifted = z - z.max(axis=1, keepdims=True)
         log_total = np.log(np.exp(shifted).sum(axis=1))
         for k in range(categories.n):
             # log of the marginal probability mass on the true class within category k
-            sel = combos[None, :, k] == true_labels[start:stop, k][:, None]
+            sel = combos[None, :, k] == truth[:, k][:, None]
             masked = np.where(sel, shifted, -np.inf)
             top = masked.max(axis=1, keepdims=True)
             log_mass = top[:, 0] + np.log(np.exp(masked - top).sum(axis=1))

@@ -97,7 +97,7 @@ class TestParams:
         assert b.params_total == 57400
         # cross-check against actual parameter array sizes
         bundle = new_bundle(spec)
-        assert b.params_total == sum(p.weights.size + p.bias.size for p in bundle.params.values())
+        assert b.params_total == sum(p.weights.data.size + p.bias.size for p in bundle.params.values())
 
     def test_one_by_one_conv(self):
         b = count_macc(parse_netspec("input name=d shape=1x2x2\nconv name=c in=d out_channels=1 kernel=1\n"))

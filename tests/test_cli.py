@@ -11,6 +11,8 @@ import pytest
 
 import mhforge
 from mhforge.cli import main
+from mhforge.modelfile import new_bundle, save_model
+from mhforge.netspec import parse_netspec
 
 BACKBONE = """\
 input name=data shape=1x18x18
@@ -123,6 +125,33 @@ class TestParser:
         bad.write_text("conv name=c in=missing out_channels=4 kernel=3\n")
         assert main(["analyze", "--netspec", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestTextThatIsNotUtf8:
+    def test_categories_file_names_its_path(self, tmp_path, capsys):
+        spec = tmp_path / "b.ns"
+        spec.write_text(BACKBONE)
+        cats = tmp_path / "c.txt"
+        cats.write_bytes(b"shape: a,b\nposition: c,\xffd\n")
+        assert main(["analyze", "--netspec", str(spec), "--categories", str(cats)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{cats}: not UTF-8 text (byte 23:" in err
+
+    def test_model_spec_text_names_its_path_and_the_text(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        model = run / "model.mhf"
+        save_model(new_bundle(parse_netspec(BACKBONE)), str(model))
+        blob = bytearray(model.read_bytes())
+        blob[16] = 0xFF  # the first byte of the network description, after magic, version and length
+        model.write_bytes(bytes(blob))
+        code = main(["compare", "--proposed", str(run), "--two-model", str(run),
+                     "--hard-coded", str(run), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{model}: network description is not UTF-8 text" in err
 
 
 class TestGenData:

@@ -1,5 +1,7 @@
 """Model file round-trips, byte-exact sizing, and corruption handling."""
 
+import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -11,14 +13,13 @@ from mhforge.modelfile import (
     MAGIC,
     ModelFileError,
     header_bytes,
-    label_maps_from_categories,
     load_model,
     new_bundle,
     parse_label_maps,
     save_model,
     serialize_label_maps,
 )
-from mhforge.netspec import bind_categories, parse_netspec
+from mhforge.netspec import bind_categories, parse_netspec, serialize_netspec
 
 SMALL = """\
 input name=data shape=1x8x8
@@ -41,21 +42,22 @@ def small_bundle(seed=0):
 
 
 def param_count(bundle):
-    return sum(p.weights.size + p.bias.size for p in bundle.params.values())
+    return sum(p.weights.data.size + p.bias.size for p in bundle.params.values())
 
 
 class TestLabelMaps:
     def test_round_trip(self):
-        maps = {"a": ("x", "y"), "b": ("p", "q", "r")}
-        assert parse_label_maps(serialize_label_maps(maps)) == maps
+        cats = LabelCategories(("a", "b"), (("x", "y"), ("p", "q", "r")))
+        assert serialize_label_maps(cats) == "category a\n0: x\n1: y\ncategory b\n0: p\n1: q\n2: r\n"
+        assert parse_label_maps(serialize_label_maps(cats)) == cats
 
     def test_comma_joined_names_survive(self):
-        maps = {"a+b": ("0,0", "0,1", "1,0")}
-        assert parse_label_maps(serialize_label_maps(maps)) == maps
+        cats = LabelCategories(("a+b",), (("0,0", "0,1", "1,0"),))
+        assert parse_label_maps(serialize_label_maps(cats)) == cats
 
     def test_empty(self):
-        assert serialize_label_maps({}) == ""
-        assert parse_label_maps("") == {}
+        assert serialize_label_maps(None) == ""
+        assert parse_label_maps("") is None
 
     def test_out_of_order_index(self):
         with pytest.raises(ModelFileError, match="out of order"):
@@ -83,7 +85,7 @@ class TestNewBundle:
 
     def test_label_maps_from_binding(self):
         b = small_bundle()
-        assert b.label_maps == {"a": ("a0", "a1", "a2"), "b": ("b0", "b1")}
+        assert b.spec.categories == LabelCategories(("a", "b"), (("a0", "a1", "a2"), ("b0", "b1")))
 
     def test_classifier_heads_start_at_zero(self):
         b = small_bundle()
@@ -114,7 +116,7 @@ class TestSaveLoad:
         save_model(b, path)
         back = load_model(path)
         assert back.spec == b.spec
-        assert back.label_maps == b.label_maps
+        assert back.spec.categories == b.spec.categories
         for name in b.params:
             orig = b.params[name]
             got = back.params[name]
@@ -151,6 +153,15 @@ class TestSaveLoad:
         back = load_model(path)
         assert back.spec.categories is not None
         assert back.spec.categories.class_counts == (3, 2)
+
+    def test_load_refuses_a_category_no_head_classifies(self, tmp_path):
+        b = small_bundle()
+        extra = LabelCategories(("a", "b", "c"), (("a0", "a1", "a2"), ("b0", "b1"), ("c0", "c1")))
+        b.spec = dataclasses.replace(b.spec, categories=extra)
+        path = str(tmp_path / "m.mhf")
+        save_model(b, path)
+        with pytest.raises(ModelFileError, match=rf"{re.escape(path)}: label maps name categories no head classifies: \['c'\]"):
+            load_model(path)
 
 
 class TestCorruption:
@@ -190,6 +201,17 @@ class TestCorruption:
         p = self.saved(tmp_path)
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(ModelFileError, match="2 trailing bytes"):
+            load_model(str(p))
+
+    @pytest.mark.parametrize("what", ["network description", "label maps"])
+    def test_text_that_is_not_utf8_names_the_file_and_the_text(self, tmp_path, what):
+        p = self.saved(tmp_path)
+        blob = bytearray(p.read_bytes())
+        # the description text starts after magic, version and its length; the maps text after it and its length
+        at = 16 if what == "network description" else 20 + len(serialize_netspec(small_bundle().spec).encode())
+        blob[at] = 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ModelFileError, match=rf"{re.escape(str(p))}: {what} is not UTF-8 text"):
             load_model(str(p))
 
     @pytest.mark.parametrize("layer,value", [("c1", float("nan")), ("head_b", float("inf"))])

@@ -45,18 +45,12 @@ class TestTensor:
         with pytest.raises(ShapeMismatch):
             Tensor(np.zeros((3, 3)))
 
-    def test_copy_is_independent(self):
-        a = Tensor.zeros((1, 1, 2, 2))
-        b = a.copy()
-        b.data[0, 0, 0, 0] = 5.0
-        assert a.data[0, 0, 0, 0] == 0.0
-
 
 class TestConvForward:
     def test_all_ones_3x3(self):
         # 3x3 kernel of ones over a 3x3 patch of ones, no pad: single output 9
-        x = Tensor.full((1, 1, 3, 3), 1.0)
-        p = LayerParams(Tensor.full((1, 1, 3, 3), 1.0), np.zeros(1))
+        x = Tensor(np.full((1, 1, 3, 3), 1.0))
+        p = LayerParams(Tensor(np.full((1, 1, 3, 3), 1.0)), np.zeros(1))
         out = conv2d_forward(x, p, stride=1, pad=0)
         assert out.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 9.0
@@ -292,7 +286,7 @@ class TestMaxpool:
         assert out.data[0, 0, 0, 0] == 4.0
 
     def test_tie_takes_lowest_flat_index(self):
-        t = Tensor.full((1, 1, 4, 4), 3.0)
+        t = Tensor(np.full((1, 1, 4, 4), 3.0))
         out, pmap = maxpool2d(t, 2, 2)
         assert np.all(out.data == 3.0)
         gx = maxpool2d_backward(pmap, Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
@@ -314,7 +308,7 @@ class TestMaxpool:
     def test_backward_routes_to_argmax(self):
         t = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         _, pmap = maxpool2d(t, 2, 2)
-        gx = maxpool2d_backward(pmap, Tensor.full((1, 1, 1, 1), 5.0))
+        gx = maxpool2d_backward(pmap, Tensor(np.full((1, 1, 1, 1), 5.0)))
         assert gx.data[0, 0, 1, 1] == 5.0
         assert gx.data.sum() == 5.0
 
@@ -396,7 +390,7 @@ class TestGlobalAvgpool:
         assert out.data[0, 0, 0, 0] == 2.5
 
     def test_backward_spreads_evenly(self):
-        gx = global_avgpool_backward((1, 1, 2, 2), Tensor.full((1, 1, 1, 1), 8.0))
+        gx = global_avgpool_backward((1, 1, 2, 2), Tensor(np.full((1, 1, 1, 1), 8.0)))
         assert np.all(gx.data == 2.0)
 
     def test_finite_differences(self):
@@ -418,7 +412,7 @@ class TestRelu:
 
     def test_backward_zero_at_kink(self):
         t = Tensor(np.array([[[[-1.0, 0.0], [0.5, 2.0]]]]))
-        g = Tensor.full((1, 1, 2, 2), 7.0)
+        g = Tensor(np.full((1, 1, 2, 2), 7.0))
         gx = relu_backward(t, g)
         assert np.array_equal(gx.data, [[[[0.0, 0.0], [7.0, 7.0]]]])
 

@@ -156,7 +156,6 @@ class TestForwardAll:
         for hr in state.heads.values():
             assert hr.loss is None
             assert hr.accuracy is None
-            assert hr.probs is None
             assert hr.grad_logits is None
 
     def test_with_labels_metrics_filled(self):
@@ -166,8 +165,7 @@ class TestForwardAll:
         for cat, hr in state.heads.items():
             assert hr.loss > 0.0
             assert 0.0 <= hr.accuracy <= 1.0
-            assert hr.probs.shape == (3, CATS.class_counts[CATS.names.index(cat)])
-            assert hr.grad_logits.shape == hr.probs.shape
+            assert hr.grad_logits.shape == (3, CATS.class_counts[CATS.names.index(cat)])
 
     def test_loss_weight_taken_from_spec(self):
         bundle = make_bundle()
@@ -745,7 +743,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "batch_size,where",
-        [(2, r"epoch 1, batch [1-8] of 8"), (8, r"epoch 1, validation")],  # 18 training images
+        [(2, r"epoch 1, batch [1-8] of 8"), (8, r"epoch 1, validation")],  # 16 training images
         ids=["batch", "validation"],
     )
     def test_diverging_loss_names_epoch_batch_and_head(self, pixel_dataset, batch_size, where):
@@ -814,42 +812,47 @@ class TestTrain:
         assert whole == projected
 
 
+def hc_pixel_model(entries, seed):
+    backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
+    spec, hc_map = build_hard_coded(backbone, PIXEL_CATS, [e.labels for e in entries], "feat")
+    return new_bundle(spec, seed=seed), hc_map
+
+
+def assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, entries, result):
+    """evaluate_hc's result against one whole-set forward pass, decoded and marginalised by hand."""
+    images = load_images(entries)
+    state = forward_all(bundle, images)
+    head_name = bundle.spec.categories.names[0]
+    logits = state.heads[head_name].logits.data.reshape(len(entries), -1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+
+    combos = np.array(hc_map.combos)
+    true = np.array([e.labels for e in entries])
+    true_ids = np.array([hc_encode(hc_map, e.labels) for e in entries])
+    pred_ids = logits.argmax(axis=1)
+
+    want_loss = float(np.mean(-np.log(probs[np.arange(len(true_ids)), true_ids])))
+    want_acc = float(np.mean(pred_ids == true_ids))
+    assert result.combined_loss == pytest.approx(want_loss, abs=1e-10)
+    assert result.combined_accuracy == pytest.approx(want_acc, abs=1e-10)
+
+    decoded = combos[pred_ids]
+    for k, cat in enumerate(PIXEL_CATS.names):
+        want_cat_acc = float(np.mean(decoded[:, k] == true[:, k]))
+        mass = np.array(
+            [probs[i, combos[:, k] == true[i, k]].sum() for i in range(len(true))]
+        )
+        want_cat_loss = float(np.mean(-np.log(mass)))
+        assert result.per_category[cat][1] == pytest.approx(want_cat_acc, abs=1e-10)
+        assert result.per_category[cat][0] == pytest.approx(want_cat_loss, abs=1e-10)
+
+
 class TestEvaluateHc:
     def test_matches_manual_decode_and_marginals(self, pixel_dataset):
-        backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
-        observed = [e.labels for e in pixel_dataset]
-        spec, hc_map = build_hard_coded(backbone, PIXEL_CATS, observed, "feat")
-        bundle = new_bundle(spec, seed=9)
+        bundle, hc_map = hc_pixel_model(pixel_dataset, seed=9)
         result = evaluate_hc(bundle, pixel_dataset, hc_map, PIXEL_CATS)
-
-        from mhforge.dataset import load_images
-
-        images = load_images(pixel_dataset)
-        state = forward_all(bundle, images)
-        head_name = spec.categories.names[0]
-        logits = state.heads[head_name].logits.data.reshape(len(pixel_dataset), -1)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-
-        combos = np.array(hc_map.combos)
-        true = np.array([e.labels for e in pixel_dataset])
-        true_ids = np.array([hc_encode(hc_map, e.labels) for e in pixel_dataset])
-        pred_ids = logits.argmax(axis=1)
-
-        want_loss = float(np.mean(-np.log(probs[np.arange(len(true_ids)), true_ids])))
-        want_acc = float(np.mean(pred_ids == true_ids))
-        assert result.combined_loss == pytest.approx(want_loss, abs=1e-10)
-        assert result.combined_accuracy == pytest.approx(want_acc, abs=1e-10)
-
-        decoded = combos[pred_ids]
-        for k, cat in enumerate(PIXEL_CATS.names):
-            want_cat_acc = float(np.mean(decoded[:, k] == true[:, k]))
-            mass = np.array(
-                [probs[i, combos[:, k] == true[i, k]].sum() for i in range(len(true))]
-            )
-            want_cat_loss = float(np.mean(-np.log(mass)))
-            assert result.per_category[cat][1] == pytest.approx(want_cat_acc, abs=1e-10)
-            assert result.per_category[cat][0] == pytest.approx(want_cat_loss, abs=1e-10)
+        assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, pixel_dataset, result)
 
     def test_confident_wrong_prediction_has_finite_category_loss(self, pixel_dataset):
         # every image gets logit 1000 on combination 0 and 0 elsewhere: where the true
@@ -893,6 +896,63 @@ class TestEvaluateHc:
         )
         with pytest.raises(TrainError, match="dataset is empty"):
             evaluate_hc(new_bundle(spec, seed=0), [], hc_map, PIXEL_CATS)
+
+
+def with_random_heads(bundle, seed):
+    """Normal(0, 1) head weights and biases, so that every image gets its own logits."""
+    rng = np.random.default_rng(seed)
+    for lay in bundle.spec.heads():
+        p = bundle.params[lay.name]
+        p.weights.data[:] = rng.normal(0.0, 1.0, p.weights.shape)
+        p.bias[:] = rng.normal(0.0, 1.0, p.bias.shape)
+    return bundle
+
+
+class TestChunkBoundaries:
+    """With EVAL_CHUNK at 5, the 24 pixel images are scored in chunks of 5, 5, 5, 5 and 4."""
+
+    @pytest.fixture(autouse=True)
+    def five_image_chunks(self, monkeypatch):
+        monkeypatch.setattr(training_mod, "EVAL_CHUNK", 5)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """(batch size, run under NO_BACKWARD) of every forward_all call the training module makes."""
+        seen = []
+
+        def spy(bundle, images, labels=None, plan=training_mod.NO_BACKWARD):
+            seen.append((images.shape[0], plan is training_mod.NO_BACKWARD))
+            return forward_all(bundle, images, labels, plan)
+
+        monkeypatch.setattr(training_mod, "forward_all", spy)
+        return seen
+
+    def test_evaluate_matches_one_whole_set_pass(self, pixel_dataset, passes):
+        bundle = with_random_heads(pixel_bundle(), seed=4)
+        labels = {c: np.array([e.labels[k] for e in pixel_dataset]) for k, c in enumerate(PIXEL_CATS.names)}
+        whole = forward_all(bundle, load_images(pixel_dataset), labels)
+        metrics = evaluate(bundle, pixel_dataset)
+        assert passes == [(5, True)] * 4 + [(4, True)]
+        for cat in PIXEL_CATS.names:
+            assert metrics[cat][0] == pytest.approx(whole.heads[cat].loss, abs=1e-12)
+            assert metrics[cat][1] == pytest.approx(whole.heads[cat].accuracy, abs=1e-12)
+
+    def test_evaluate_hc_matches_manual_decode_and_marginals(self, pixel_dataset, passes):
+        bundle, hc_map = hc_pixel_model(pixel_dataset, seed=9)
+        result = evaluate_hc(with_random_heads(bundle, seed=5), pixel_dataset, hc_map, PIXEL_CATS)
+        assert passes == [(5, True)] * 4 + [(4, True)]
+        assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, pixel_dataset, result)
+
+    def test_validation_is_scored_in_chunks_after_each_epoch(self, pixel_dataset, passes):
+        # split_fraction 0.75 leaves 16 training images (batches 8, 8) and 8 validation images (chunks 5, 3)
+        config = TrainConfig(epochs=2, batch_size=8, seed=5, split_fraction=0.75)
+        bundle, log = train(pixel_bundle(), pixel_dataset, config)
+        epoch = [(8, False), (8, False), (5, True), (3, True)]
+        assert passes == epoch * 2
+        _, val_set = split_entries(pixel_dataset, 0.75, 5)
+        metrics = evaluate(bundle, val_set)
+        for cat in PIXEL_CATS.names:
+            assert metrics[cat] == (log.records[-1].val_loss[cat], log.records[-1].val_acc[cat])
 
 
 class TestModelBytesMatchTensordotConv:
