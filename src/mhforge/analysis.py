@@ -1,8 +1,14 @@
-"""Static cost model: multiply-accumulate counts, parameter counts, file size, class coverage.
+"""Static cost model and the variant comparison report.
 
-All figures come from the network description alone. The multiply-accumulate
-(MACC) convention counts one op per scalar multiply in conv and fc layers and
-excludes bias additions; "trained MACC" restricts the sum to unfrozen layers.
+count_macc gives multiply-accumulate counts, parameter counts, file size and
+class coverage; all figures come from the network description alone. The
+multiply-accumulate (MACC) convention counts one op per scalar multiply in
+conv and fc layers and excludes bias additions; "trained MACC" restricts the
+sum to unfrozen layers.
+
+compare_variants sets those costs and the measured metrics of the three
+variants side by side; REPORT_FORMATS maps each report format to its file
+extension and renderer, and write_report writes one.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from math import prod
 
 from .dataset import LabelCategories
 from .errors import MhforgeError
+from .fileio import write_atomic
 from .modelfile import header_bytes
 from .netspec import NetworkSpec, validate_shapes
-from .surgery import VARIANT_KINDS
+from .surgery import PROPOSED, VARIANT_KINDS
 
 
 class AnalysisError(MhforgeError):
@@ -55,29 +62,21 @@ def class_coverage(categories) -> int:
     return total
 
 
-def _spec_coverage(spec: NetworkSpec) -> int:
-    if spec.categories is not None:
-        return class_coverage(spec.categories)
-    heads = spec.heads()
-    if not heads:
-        return 0
-    return class_coverage([h.out_features for h in heads])
+def count_macc(spec: NetworkSpec) -> CostBreakdown:
+    """Full cost breakdown. macc = weight elements * Hout * Wout: K*K*Cin*Cout*Hout*Wout for conv, D*F for fc.
 
-
-def count_macc(spec: NetworkSpec, shapes: dict[str, tuple[int, int, int]] | None = None) -> CostBreakdown:
-    """Full cost breakdown. macc = weight elements * Hout * Wout: K*K*Cin*Cout*Hout*Wout for conv, D*F for fc."""
-    if shapes is None:
-        shapes = validate_shapes(spec)
+    Coverage is the product of the heads' class counts (0 without heads): for
+    a bound spec, validate_shapes has checked that each head's out_features
+    is its category's class count.
+    """
+    shapes = validate_shapes(spec)
     layers = []
     macc_total = macc_trained = params_total = 0
     for lay in spec.layers:
         macc = params = 0
         if lay.has_params:
-            try:
-                weights = lay.weight_shape(shapes[lay.inputs[0]])
-                _, h_out, w_out = shapes[lay.name]
-            except KeyError:
-                raise AnalysisError(f"no shape for input of layer {lay.name}; spec not validated") from None
+            weights = lay.weight_shape(shapes[lay.inputs[0]])
+            _, h_out, w_out = shapes[lay.name]
             macc = prod(weights) * h_out * w_out
             params = prod(weights) + weights[0]
             macc_total += macc
@@ -85,19 +84,15 @@ def count_macc(spec: NetworkSpec, shapes: dict[str, tuple[int, int, int]] | None
             if not lay.frozen:
                 macc_trained += macc
         layers.append(LayerCost(lay.name, lay.kind, macc, params))
+    heads = spec.heads()
     return CostBreakdown(
         layers=tuple(layers),
         macc_total=macc_total,
         macc_trained=macc_trained,
         params_total=params_total,
         size_bytes_estimate=header_bytes(spec) + 4 * params_total,
-        coverage=_spec_coverage(spec),
+        coverage=class_coverage([h.out_features for h in heads]) if heads else 0,
     )
-
-
-def estimate_size(spec: NetworkSpec) -> int:
-    """Exact byte length a saved model of this spec will have."""
-    return count_macc(spec).size_bytes_estimate
 
 
 def sum_breakdowns(breakdowns: list[CostBreakdown]) -> CostBreakdown:
@@ -142,13 +137,14 @@ class ComparisonReport:
     rows: tuple[ReportRow, ...]
 
 
-def _ordered_union(dicts) -> list[str]:
-    seen = []
-    for d in dicts:
-        for key in d:
-            if key not in seen:
-                seen.append(key)
-    return seen
+# (row label, CostBreakdown attribute, ratio row label or None)
+_COST_ROWS = (
+    ("Size (bytes)", "size_bytes_estimate", "Size ratio"),
+    ("Parameters", "params_total", "Parameter ratio"),
+    ("Trained MACC", "macc_trained", "Trained MACC ratio"),
+    ("Total MACC", "macc_total", "Total MACC ratio"),
+    ("Coverage", "coverage", None),
+)
 
 
 def compare_variants(
@@ -157,7 +153,8 @@ def compare_variants(
     """Side-by-side absolute costs plus proposed-over-others ratio rows.
 
     In ratio rows the proposed cell is 1.0 and every other cell is
-    proposed / that variant, rounded to 3 decimals.
+    proposed / that variant, rounded to 3 decimals. A variant without metrics
+    reads as VariantMetrics(): its metric cells are empty.
     """
     for kind in VARIANT_KINDS:
         if kind not in breakdowns:
@@ -165,63 +162,36 @@ def compare_variants(
     extra = set(breakdowns) - set(VARIANT_KINDS)
     if extra:
         raise AnalysisError(f"unknown variant entries {sorted(extra)}")
-    metrics = metrics or {}
-
+    measured = {v: (metrics or {}).get(v, VariantMetrics()) for v in VARIANT_KINDS}
     rows: list[ReportRow] = []
 
-    def metric_cells(attr: str, cat: str) -> dict[str, float | None]:
-        out = {}
-        for v in VARIANT_KINDS:
-            value = getattr(metrics[v], attr).get(cat) if v in metrics else None
-            out[v] = None if value is None else round(float(value), 4)
-        return out
+    def row(label: str, value, decimals: int | None) -> None:
+        """One row of value(variant) per variant, rounded to `decimals` unless that is None."""
+        cells = {v: value(v) for v in VARIANT_KINDS}
+        if decimals is not None:
+            cells = {v: None if x is None else round(float(x), decimals) for v, x in cells.items()}
+        rows.append(ReportRow(label, cells, decimals))
 
-    cats = _ordered_union([getattr(metrics[v], a) for v in VARIANT_KINDS if v in metrics for a in ("accuracy", "loss")])
+    def ratio(label: str, value) -> None:
+        p = value(PROPOSED)
+        row(f"{label} (proposed/col)", lambda v: None if p is None or not value(v) else p / value(v), 3)
+
+    cats = dict.fromkeys(c for m in measured.values() for c in (*m.accuracy, *m.loss))
     for cat in cats:
-        rows.append(ReportRow(f"Accuracy/{cat}", metric_cells("accuracy", cat), 4))
+        row(f"Accuracy/{cat}", lambda v: measured[v].accuracy.get(cat), 4)
     for cat in cats:
-        rows.append(ReportRow(f"Loss/{cat}", metric_cells("loss", cat), 4))
-
-    def cost_row(label: str, attr: str) -> ReportRow:
-        return ReportRow(label, {v: getattr(breakdowns[v], attr) for v in VARIANT_KINDS}, None)
-
-    rows.append(cost_row("Size (bytes)", "size_bytes_estimate"))
-    rows.append(cost_row("Parameters", "params_total"))
-    rows.append(cost_row("Trained MACC", "macc_trained"))
-    rows.append(cost_row("Total MACC", "macc_total"))
-    rows.append(cost_row("Coverage", "coverage"))
-
-    have_latency = any(v in metrics and metrics[v].latency_total_s is not None for v in VARIANT_KINDS)
+        row(f"Loss/{cat}", lambda v: measured[v].loss.get(cat), 4)
+    for label, attr, _ in _COST_ROWS:
+        row(label, lambda v: getattr(breakdowns[v], attr), None)
+    have_latency = any(m.latency_total_s is not None for m in measured.values())
     if have_latency:
-        for label, attr, dec in (("Latency total (s)", "latency_total_s", 4), ("Latency/image (ms)", "latency_per_image_ms", 3)):
-            cells = {}
-            for v in VARIANT_KINDS:
-                value = getattr(metrics[v], attr) if v in metrics else None
-                cells[v] = None if value is None else round(float(value), dec)
-            rows.append(ReportRow(label, cells, dec))
-
-    def ratio_row(label: str, values: dict[str, float | int | None]) -> ReportRow:
-        p = values["proposed"]
-        cells: dict[str, float | int | None] = {}
-        for v in VARIANT_KINDS:
-            d = values[v]
-            cells[v] = None if (p is None or d is None or d == 0) else round(p / d, 3)
-        return ReportRow(label, cells, 3)
-
-    for label, attr in (
-        ("Size ratio (proposed/col)", "size_bytes_estimate"),
-        ("Parameter ratio (proposed/col)", "params_total"),
-        ("Trained MACC ratio (proposed/col)", "macc_trained"),
-        ("Total MACC ratio (proposed/col)", "macc_total"),
-    ):
-        rows.append(ratio_row(label, {v: getattr(breakdowns[v], attr) for v in VARIANT_KINDS}))
+        row("Latency total (s)", lambda v: measured[v].latency_total_s, 4)
+        row("Latency/image (ms)", lambda v: measured[v].latency_per_image_ms, 3)
+    for _, attr, label in _COST_ROWS:
+        if label is not None:
+            ratio(label, lambda v: getattr(breakdowns[v], attr))
     if have_latency:
-        rows.append(
-            ratio_row(
-                "Latency ratio (proposed/col)",
-                {v: (metrics[v].latency_total_s if v in metrics else None) for v in VARIANT_KINDS},
-            )
-        )
+        ratio("Latency ratio", lambda v: measured[v].latency_total_s)
     return ComparisonReport(tuple(VARIANT_KINDS), tuple(rows))
 
 
@@ -265,3 +235,14 @@ def render_csv(report: ComparisonReport) -> str:
     for row in report.rows:
         writer.writerow([row.label, *("" if row.cells[v] is None else _format_cell(row.cells[v], row.decimals) for v in report.variants)])
     return buf.getvalue()
+
+
+# format name -> (file extension, renderer)
+REPORT_FORMATS = {"text": ("txt", render_text), "json": ("json", render_json), "csv": ("csv", render_csv)}
+
+
+def write_report(report: ComparisonReport, fmt: str, path: str) -> int:
+    """Renders the comparison in one of REPORT_FORMATS to `path`; returns bytes written."""
+    if fmt not in REPORT_FORMATS:
+        raise AnalysisError(f"format must be one of {sorted(REPORT_FORMATS)}, got {fmt!r}")
+    return write_atomic(path, [REPORT_FORMATS[fmt][1](report).encode("utf-8")])

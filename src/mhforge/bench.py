@@ -4,7 +4,9 @@ One timing sample is one full pass over the list, image by image at batch
 size 1. A warm-up pass runs first and is excluded; its predictions become the
 reference that every timed run must reproduce exactly. Each image runs
 through every bundle in the list; for the two-model variant, the total thus
-reflects both inferences, matching how that variant deploys.
+reflects both inferences, matching how that variant deploys. The statistics
+reach the comparison report through the bench.json the CLI writes; analysis
+renders and writes that report.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ComparisonReport, render_csv, render_json, render_text
 from .errors import MhforgeError
-from .fileio import write_atomic
 from .modelfile import ModelBundle
 from .tensor_ops import Tensor
 from .training import predict_ids
@@ -101,11 +101,3 @@ def timings_csv(stats: LatencyStats) -> str:
     lines = ["run_index,seconds"]
     lines += [f"{i},{s:.9f}" for i, s in enumerate(stats.per_run_seconds)]
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: ComparisonReport, fmt: str, path: str) -> int:
-    """Renders the comparison in the requested format; returns bytes written."""
-    renderers = {"text": render_text, "json": render_json, "csv": render_csv}
-    if fmt not in renderers:
-        raise BenchError(f"format must be one of {sorted(renderers)}, got {fmt!r}")
-    return write_atomic(path, [renderers[fmt](report).encode("utf-8")])

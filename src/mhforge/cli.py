@@ -28,8 +28,8 @@ import sys
 import time
 
 from . import __version__
-from .analysis import VariantMetrics, compare_variants, count_macc, sum_breakdowns
-from .bench import emit_report, measure_latency, timings_csv
+from .analysis import REPORT_FORMATS, VariantMetrics, compare_variants, count_macc, sum_breakdowns, write_report
+from .bench import measure_latency, timings_csv
 from .dataset import (
     SyntheticConfig,
     generate_synthetic,
@@ -153,7 +153,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     spec = parse_netspec(_read_text(args.netspec))
-    full_cats = parse_categories(_read_text(args.categories))
+    cats = parse_categories(_read_text(args.categories))
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -162,16 +162,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         split_fraction=args.split,
     )
-    entries = _load_manifest_entries(args.manifest, full_cats)
+    entries = _load_manifest_entries(args.manifest, cats)
     if args.hc_map:
         hc_map = parse_hc_map(_read_text(args.hc_map))
-        spec = bind_categories(spec, hc_categories(full_cats, hc_map))
-        bundle = new_bundle(spec, seed=args.seed)
-        bundle, log = train(bundle, convert_manifest_hc(entries, hc_map), config)
-    else:
-        spec = bind_categories(spec, full_cats)
-        bundle = new_bundle(spec, seed=args.seed)
-        bundle, log = train(bundle, entries, config, manifest_categories=full_cats)
+        cats, entries = hc_categories(cats, hc_map), convert_manifest_hc(entries, hc_map)
+    bundle = new_bundle(bind_categories(spec, cats), seed=args.seed)
+    bundle, log = train(bundle, entries, config, manifest_categories=cats)
 
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.netspec))[0]
@@ -294,15 +290,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     metrics = {kind: _dir_metrics(d) for kind, d in dirs.items()}
     report = compare_variants(breakdowns, metrics)
     os.makedirs(args.out, exist_ok=True)
-    formats = ("text", "json", "csv") if args.format == "all" else (args.format,)
-    ext = {"text": "txt", "json": "json", "csv": "csv"}
+    formats = tuple(REPORT_FORMATS) if args.format == "all" else (args.format,)
     artifacts = []
     for fmt in formats:
-        path = os.path.join(args.out, f"report.{ext[fmt]}")
-        emit_report(report, fmt, path)
+        path = os.path.join(args.out, f"report.{REPORT_FORMATS[fmt][0]}")
+        write_report(report, fmt, path)
         artifacts.append(path)
     _run_manifest(args.out, "compare", args, artifacts)
-    print(_read_text(os.path.join(args.out, "report.txt")) if "text" in formats else f"wrote {artifacts}")
+    print(_read_text(artifacts[0]))
     return 0
 
 
@@ -316,10 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic shapes-and-positions dataset")
     p.add_argument("--out", required=True, help="output directory for images, manifest, categories")
-    p.add_argument("--image-size", type=int, default=34, help="square image side (default 34)")
-    p.add_argument("--samples", type=int, default=80, help="images per label combination (default 80)")
-    p.add_argument("--noise", type=float, default=0.02, help="Gaussian pixel noise std (default 0.02)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--image-size", type=int, default=SyntheticConfig.image_size, help="square image side (default %(default)s)"
+    )
+    p.add_argument(
+        "--samples", type=int, default=SyntheticConfig.samples_per_combo, help="images per combo (default %(default)s)"
+    )
+    p.add_argument(
+        "--noise", type=float, default=SyntheticConfig.noise_std, help="Gaussian pixel noise std (default %(default)s)"
+    )
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed, help="(default %(default)s)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("build", help="derive a variant network description from a backbone")
@@ -337,12 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="training manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--hc-map", help="hard-coded label map (hc variant only)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", type=float, default=0.8, help="training fraction of the stratified split")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="(default %(default)s)")
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="batch size (default %(default)s)")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="learning rate (default %(default)s)")
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum, help="(default %(default)s)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="(default %(default)s)")
+    p.add_argument(
+        "--split", type=float, default=TrainConfig.split_fraction, help="training split fraction (default %(default)s)"
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved model(s) against a manifest")
@@ -351,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--hc-map", help="decode hard-coded predictions back to per-category labels")
     p.add_argument("--side", choices=("all", "train", "val"), default="all", help="which split side to score")
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--split", type=float, default=TrainConfig.split_fraction, help="as in train (default %(default)s)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="split seed, as in train (default %(default)s)")
     p.add_argument("--out", help="metrics JSON path (default: eval.json next to the first model)")
     p.set_defaults(func=cmd_eval)
 
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-model", required=True, help="run directory holding both single-head models")
     p.add_argument("--hard-coded", required=True, help="run directory of the merged-label variant")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("all", "text", "json", "csv"), default="all")
+    p.add_argument("--format", choices=("all", *REPORT_FORMATS), default="all")
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -15,7 +15,7 @@ Layout, all integers little-endian u32:
 
 Weight shapes are fully determined by the description, so the payload needs
 no per-layer framing and the total file size is computable from the
-description alone (see analysis.estimate_size).
+description alone (see analysis.count_macc(spec).size_bytes_estimate).
 """
 
 from __future__ import annotations
@@ -169,10 +169,16 @@ def load_model(path: str) -> ModelBundle:
     spec_text = text("network description")
     maps_text = text("label maps")
 
-    spec = parse_netspec(spec_text)
-    categories = parse_label_maps(maps_text)
+    what = "network description"
+    try:
+        spec = parse_netspec(spec_text)
+        what = "label maps"
+        categories = parse_label_maps(maps_text)
+        if categories is not None:
+            spec = bind_categories(spec, categories)
+    except MhforgeError as exc:
+        raise ModelFileError(f"{path}: {what}: {exc}") from None
     if categories is not None:
-        spec = bind_categories(spec, categories)
         extra = [name for name in categories.names if name not in spec.categories.names]
         if extra:
             raise ModelFileError(f"{path}: label maps name categories no head classifies: {extra}")

@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import ManifestEntry, epoch_order, load_images, project_entries
 from .errors import MhforgeError
 from .modelfile import ModelBundle
-from .surgery import HcLabelMap, hc_encode
+from .surgery import HcLabelMap, hc_categories, hc_encode
 from .tensor_ops import (
     SEED_MASK,
     LayerParams,
@@ -529,7 +529,11 @@ def evaluate_hc(
     per-category loss is the negative log of the marginal probability mass the
     model puts on the true class within that category, taken by log-sum-exp over
     the logits so that it stays finite where the softmax underflows to zero.
+    The map must be the model's: its combinations, in order, are the class
+    names the model was trained and saved with.
     """
+    if hc_categories(categories, hc_map) != bundle.spec.categories:
+        raise TrainError("HC map does not match the model: its combinations are not the model's classes, in order")
     if not entries:
         raise TrainError("dataset is empty")
     hc_ids = np.array([hc_encode(hc_map, e.labels) for e in entries], dtype=np.int64)

@@ -7,9 +7,12 @@ the GEMM convolution that replaced it, and the strided patch-matrix fill,
 kept as the reference for the gather that replaced it.
 """
 
+import struct
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mhforge.modelfile import FORMAT_VERSION, MAGIC
 from mhforge.netspec import validate_shapes
 from mhforge.tensor_ops import Tensor
 
@@ -371,3 +374,10 @@ def random_spec_text(rng, max_mid_layers=4):
         lines.append(f"loss name=loss_{tag} in=head_{tag} label={tag} weight={float(rng.integers(1, 4))}")
         lines.append(f"accuracy name=acc_{tag} in=head_{tag} label={tag}")
     return "\n".join(lines) + "\n"
+
+
+def model_file_bytes(spec_text, maps_text):
+    """A model file holding the network description and label-map texts as given, and no weights."""
+    u32 = struct.Struct("<I").pack
+    texts = [t.encode("utf-8") for t in (spec_text, maps_text)]
+    return MAGIC + u32(FORMAT_VERSION) + b"".join(u32(len(t)) + t for t in texts)

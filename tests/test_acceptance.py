@@ -18,7 +18,6 @@ from mhforge.analysis import (
     class_coverage,
     compare_variants,
     count_macc,
-    estimate_size,
     sum_breakdowns,
 )
 from mhforge.cli import main
@@ -327,7 +326,7 @@ def test_saved_sizes_equal_estimates_and_shared_model_halves_storage(pipeline):
                 continue
             path = os.path.join(run_dir, name)
             bundle = load_model(path)
-            assert os.path.getsize(path) == estimate_size(bundle.spec), path
+            assert os.path.getsize(path) == count_macc(bundle.spec).size_bytes_estimate, path
             checked += 1
     assert checked == 4
 
@@ -346,8 +345,8 @@ def test_saved_sizes_equal_estimates_and_shared_model_halves_storage(pipeline):
     backbone_params = count_macc(wide).params_total
     head_params = count_macc(shared).params_total - backbone_params
     assert backbone_params >= 10 * head_params
-    pair_size = sum(estimate_size(s) for s in build_two_model(wide, cats, "g"))
-    ratio = estimate_size(shared) / pair_size
+    pair_size = sum(count_macc(s).size_bytes_estimate for s in build_two_model(wide, cats, "g"))
+    ratio = count_macc(shared).size_bytes_estimate / pair_size
     assert ratio < 0.52, ratio
     note("size arithmetic", f"4 files exact; shared/pair ratio {ratio:.3f}")
 

@@ -12,7 +12,6 @@ from mhforge.analysis import (
     class_coverage,
     compare_variants,
     count_macc,
-    estimate_size,
     render_csv,
     render_json,
     render_text,
@@ -84,11 +83,6 @@ class TestMacc:
             assert instrumented_forward_macc(spec, bundle, trained_only=True) == b.macc_trained, spec
             checked += 1
 
-    def test_unvalidated_shapes_error(self):
-        spec = parse_netspec("input name=d shape=1x4x4\nconv name=c in=d out_channels=1 kernel=3\n")
-        with pytest.raises(AnalysisError, match="spec not validated"):
-            count_macc(spec, shapes={})
-
 
 class TestParams:
     def test_heads_on_1024(self):
@@ -119,7 +113,7 @@ class TestParams:
 class TestSize:
     def test_zero_param_spec_is_header_only(self):
         spec = parse_netspec("input name=d shape=1x8x8\ngavgpool name=g in=d\n")
-        assert estimate_size(spec) == header_bytes(spec)
+        assert count_macc(spec).size_bytes_estimate == header_bytes(spec)
 
     def test_estimate_equals_file_bytes(self, tmp_path):
         spec = attach_heads(
@@ -129,7 +123,7 @@ class TestSize:
         )
         bundle = new_bundle(spec, seed=4)
         written = save_model(bundle, str(tmp_path / "m.mhf"))
-        assert written == estimate_size(spec)
+        assert written == count_macc(spec).size_bytes_estimate
         assert written == (tmp_path / "m.mhf").stat().st_size
 
     def test_ratio_below_052_with_wide_backbone(self):

@@ -1,12 +1,12 @@
-"""Latency measurement and report emission tests."""
+"""Latency measurement, and writing the comparison report in each of its formats."""
 
 import json
 
 import numpy as np
 import pytest
 
-from mhforge.analysis import compare_variants, count_macc
-from mhforge.bench import BenchError, LatencyStats, emit_report, measure_latency, timings_csv
+from mhforge.analysis import AnalysisError, compare_variants, count_macc, write_report
+from mhforge.bench import BenchError, LatencyStats, measure_latency, timings_csv
 from mhforge.dataset import LabelCategories
 from mhforge.modelfile import new_bundle
 from mhforge.netspec import parse_netspec
@@ -132,6 +132,8 @@ class TestTimingsCsv:
 
 
 class TestEmitReport:
+    """analysis.write_report, one test per format and one for a format it does not know."""
+
     def make_report(self):
         backbone = parse_netspec(BACKBONE)
         spec = attach_heads(backbone, CATS, "g")
@@ -141,7 +143,7 @@ class TestEmitReport:
     def test_text_format(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "report.txt"
-        written = emit_report(report, "text", str(path))
+        written = write_report(report, "text", str(path))
         data = path.read_bytes()
         assert written == len(data)
         first = data.decode().splitlines()[0].split()
@@ -150,7 +152,7 @@ class TestEmitReport:
     def test_json_format(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "report.json"
-        emit_report(report, "json", str(path))
+        write_report(report, "json", str(path))
         payload = json.loads(path.read_text())
         assert payload["variants"] == ["proposed", "two_model", "hard_coded"]
         assert {r["label"] for r in payload["rows"]} >= {"Parameters", "Trained MACC"}
@@ -158,12 +160,12 @@ class TestEmitReport:
     def test_csv_format(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "report.csv"
-        emit_report(report, "csv", str(path))
+        write_report(report, "csv", str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "metric,proposed,two_model,hard_coded"
         assert len(lines) == 1 + len(report.rows)
 
     def test_unknown_format_rejected(self, tmp_path):
         report = self.make_report()
-        with pytest.raises(BenchError, match="format must be one of"):
-            emit_report(report, "yaml", str(tmp_path / "x"))
+        with pytest.raises(AnalysisError, match="format must be one of"):
+            write_report(report, "yaml", str(tmp_path / "x"))

@@ -9,10 +9,15 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import model_file_bytes
+
 import mhforge
-from mhforge.cli import main
+from mhforge.cli import build_parser, main
+from mhforge.dataset import SyntheticConfig
 from mhforge.modelfile import new_bundle, save_model
 from mhforge.netspec import parse_netspec
+from mhforge.surgery import HcLabelMap, parse_hc_map, serialize_hc_map
+from mhforge.training import TrainConfig
 
 BACKBONE = """\
 input name=data shape=1x18x18
@@ -119,6 +124,16 @@ class TestParser:
         code = main(["analyze", "--netspec", str(tmp_path / "nope.ns")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_defaults_are_the_config_defaults(self):
+        parser = build_parser()
+        t = parser.parse_args(["train", "--netspec", "n", "--categories", "c", "--manifest", "m", "--out", "o"])
+        assert TrainConfig(t.epochs, t.batch, t.lr, t.momentum, t.seed, t.split) == TrainConfig()
+        e = parser.parse_args(["eval", "--model", "m", "--categories", "c", "--manifest", "m"])
+        assert (e.split, e.seed) == (TrainConfig().split_fraction, TrainConfig().seed)
+        g = parser.parse_args(["gen-data", "--out", "o"])
+        generated = SyntheticConfig(image_size=g.image_size, samples_per_combo=g.samples, noise_std=g.noise, seed=g.seed)
+        assert generated == SyntheticConfig()
 
     def test_bad_netspec_maps_to_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.ns"
@@ -262,6 +277,26 @@ class TestEval:
             c["accuracy"] for c in payload["categories"].values()
         ) + 1e-9
 
+    @pytest.mark.parametrize("change", ["renumbered", "extended", "truncated"])
+    def test_hc_map_that_is_not_the_models_is_refused(self, pipeline, tmp_path, capsys, change):
+        with open(os.path.join(pipeline["hard_coded"], "hc_map.txt")) as f:
+            combos = parse_hc_map(f.read()).combos
+        other = {
+            "renumbered": combos[1:] + combos[:1],
+            "extended": combos + ((0, 9),),
+            "truncated": combos[:-1],
+        }[change]
+        hc_map = tmp_path / "hc_map.txt"
+        hc_map.write_text(serialize_hc_map(HcLabelMap(other)))
+        code = main(["eval", "--model", os.path.join(pipeline["hard_coded"], "model.mhf"),
+                     "--hc-map", str(hc_map), "--categories", pipeline["cats"],
+                     "--manifest", pipeline["manifest"], "--out", str(tmp_path / "eval.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "HC map does not match the model" in err
+        assert not (tmp_path / "eval.json").exists()
+
     def test_two_model_head_metrics_equal_proposed(self, pipeline):
         # identical split, zero head init, and a frozen trunk make the
         # dedicated models retrace the shared model's head trajectories
@@ -369,6 +404,18 @@ class TestCompare:
                      "--out", str(tmp_path / "r")])
         assert code == 1
         assert "no model files" in capsys.readouterr().err
+
+    def test_model_label_maps_error_names_its_path(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        model = run / "model.mhf"
+        model.write_bytes(model_file_bytes(BACKBONE, "0: x\n"))  # a class line before any category header
+        code = main(["compare", "--proposed", str(run), "--two-model", str(run),
+                     "--hard-coded", str(run), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{model}: label maps: label maps line 1: class line before any category header" in err
 
 
 class TestThreadCap:

@@ -6,8 +6,7 @@ import os
 import pytest
 
 import mhforge.fileio as fileio_mod
-from mhforge.analysis import compare_variants, count_macc
-from mhforge.bench import emit_report
+from mhforge.analysis import compare_variants, count_macc, write_report
 from mhforge.cli import _write_text
 from mhforge.dataset import LabelCategories
 from mhforge.fileio import write_atomic
@@ -57,7 +56,7 @@ def bundle():
 WRITERS = {
     "save_model": lambda path: save_model(bundle(), path),
     "write_text": lambda path: _write_text(path, "new text\n"),
-    "emit_report": lambda path: emit_report(
+    "write_report": lambda path: write_report(
         compare_variants({kind: count_macc(parse_netspec(SPEC)) for kind in VARIANT_KINDS}), "json", path
     ),
 }

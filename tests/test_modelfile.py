@@ -7,6 +7,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import model_file_bytes
+
 from mhforge.dataset import LabelCategories
 from mhforge.modelfile import (
     FORMAT_VERSION,
@@ -212,6 +214,23 @@ class TestCorruption:
         blob[at] = 0xFF
         p.write_bytes(bytes(blob))
         with pytest.raises(ModelFileError, match=rf"{re.escape(str(p))}: {what} is not UTF-8 text"):
+            load_model(str(p))
+
+    @pytest.mark.parametrize(
+        "what,spec_text,maps_text,message",
+        [
+            ("network description", "inpt name=data shape=1x8x8\n", "", "line 1, col 1: unknown kind 'inpt'"),
+            ("label maps", SMALL, "category a\n", "category a has no classes"),
+            ("label maps", SMALL, "category a\n0: x\n1: x\n2: y\ncategory b\n0: p\n1: q\n", "duplicate class names"),
+            ("label maps", SMALL, "0: x\n", "label maps line 1: class line before any category header"),
+            ("label maps", SMALL, "category a\n0: x\n1: y\ncategory b\n0: p\n1: q\n", "head head_a: out=3"),
+        ],
+        ids=["unknown-kind", "no-classes", "duplicate-class", "class-before-header", "class-count-mismatch"],
+    )
+    def test_bad_text_names_the_file_and_the_text(self, tmp_path, what, spec_text, maps_text, message):
+        p = tmp_path / "m.mhf"
+        p.write_bytes(model_file_bytes(spec_text, maps_text))
+        with pytest.raises(ModelFileError, match=rf"^{re.escape(str(p))}: {what}: .*{re.escape(message)}"):
             load_model(str(p))
 
     @pytest.mark.parametrize("layer,value", [("c1", float("nan")), ("head_b", float("inf"))])

@@ -32,7 +32,14 @@ from mhforge.dataset import (
 from mhforge.errors import MhforgeError
 from mhforge.modelfile import new_bundle, save_model
 from mhforge.netspec import KINDS, bind_categories, parse_netspec
-from mhforge.surgery import attach_heads, build_hard_coded, build_two_model, convert_manifest_hc, hc_encode
+from mhforge.surgery import (
+    HcLabelMap,
+    attach_heads,
+    build_hard_coded,
+    build_two_model,
+    convert_manifest_hc,
+    hc_encode,
+)
 from mhforge.tensor_ops import LayerParams, Tensor
 from mhforge.training import (
     EpochRecord,
@@ -896,6 +903,18 @@ class TestEvaluateHc:
         )
         with pytest.raises(TrainError, match="dataset is empty"):
             evaluate_hc(new_bundle(spec, seed=0), [], hc_map, PIXEL_CATS)
+
+    @pytest.mark.parametrize("change", ["renumbered", "extended", "truncated"])
+    def test_map_that_is_not_the_models_is_refused(self, pixel_dataset, change):
+        bundle, hc_map = hc_pixel_model(pixel_dataset, seed=9)
+        combos = hc_map.combos
+        other = {
+            "renumbered": combos[1:] + combos[:1],
+            "extended": combos + ((0, 5),),
+            "truncated": combos[:-1],
+        }[change]
+        with pytest.raises(TrainError, match="HC map does not match the model"):
+            evaluate_hc(bundle, pixel_dataset, HcLabelMap(other), PIXEL_CATS)
 
 
 def with_random_heads(bundle, seed):
