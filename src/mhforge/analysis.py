@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 from math import prod
 
-from .dataset import LabelCategories
 from .errors import MhforgeError
 from .fileio import write_atomic
 from .modelfile import header_bytes
@@ -51,9 +50,8 @@ class CostBreakdown:
     coverage: int
 
 
-def class_coverage(categories) -> int:
+def class_coverage(counts) -> int:
     """Number of label combinations expressible: the product of per-category class counts."""
-    counts = categories.class_counts if isinstance(categories, LabelCategories) else tuple(categories)
     total = 1
     for m in counts:
         if int(m) < 1:

@@ -22,6 +22,7 @@ if _DEFAULT_THREADS.isdigit() and int(_DEFAULT_THREADS) >= 1:
         os.environ.setdefault(_var, _DEFAULT_THREADS)
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -236,6 +237,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.limit < 1:
+        raise MhforgeError(f"--limit must be >= 1, got {args.limit}")
     full_cats = parse_categories(_read_text(args.categories))
     entries = _load_manifest_entries(args.manifest, full_cats)[: args.limit]
     bundles = [load_model(p) for p in args.model]
@@ -265,6 +268,20 @@ def _dir_breakdown(run_dir: str):
     return sum_breakdowns([count_macc(load_model(p).spec) for p in models])
 
 
+@contextlib.contextmanager
+def _run_file(path: str):
+    """Yields a run file's JSON; text that is not JSON, or a field the block lacks or cannot use, names the file."""
+    text = _read_text(path)
+    try:
+        yield json.loads(text)
+    except KeyError as exc:
+        raise MhforgeError(f"{path}: no {exc} field") from None
+    except ZeroDivisionError:  # bench.json's images is the one divisor read
+        raise MhforgeError(f"{path}: images is 0") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise MhforgeError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def _dir_metrics(run_dir: str) -> VariantMetrics:
     accuracy: dict[str, float] = {}
     loss: dict[str, float] = {}
@@ -272,15 +289,15 @@ def _dir_metrics(run_dir: str) -> VariantMetrics:
     latency_per_image = None
     eval_path = os.path.join(run_dir, "eval.json")
     if os.path.exists(eval_path):
-        payload = json.loads(_read_text(eval_path))
-        for cat, cell in payload.get("categories", {}).items():
-            accuracy[cat] = cell["accuracy"]
-            loss[cat] = cell["loss"]
+        with _run_file(eval_path) as payload:
+            for cat, cell in payload.get("categories", {}).items():
+                accuracy[cat] = cell["accuracy"]
+                loss[cat] = cell["loss"]
     bench_path = os.path.join(run_dir, "bench.json")
     if os.path.exists(bench_path):
-        payload = json.loads(_read_text(bench_path))
-        latency_total = payload["total_seconds"]
-        latency_per_image = payload["mean_ms"] / payload["images"]
+        with _run_file(bench_path) as payload:
+            latency_total = payload["total_seconds"]
+            latency_per_image = payload["mean_ms"] / payload["images"]
     return VariantMetrics(accuracy, loss, latency_total, latency_per_image)
 
 

@@ -139,24 +139,6 @@ def with_base(entries: list[ManifestEntry], base_dir: str) -> list[ManifestEntry
     return [ManifestEntry(os.path.join(base_dir, e.image_path), e.labels) for e in entries]
 
 
-def project_entries(
-    entries: list[ManifestEntry], categories: LabelCategories, wanted: list[str] | tuple[str, ...]
-) -> list[ManifestEntry]:
-    """Keeps only the label columns named in `wanted`, in `categories` order.
-
-    Single-head models built from a multi-category manifest train against the
-    projection onto their own category.
-    """
-    sub = categories.subset(wanted)
-    cols = [categories.index(name) for name in sub.names]
-    out = []
-    for e in entries:
-        if len(e.labels) != categories.n:
-            raise DataError(f"{e.image_path}: {len(e.labels)} labels for {categories.n} categories")
-        out.append(ManifestEntry(e.image_path, tuple(e.labels[k] for k in cols)))
-    return out
-
-
 def save_pgm(path: str, image: np.ndarray) -> None:
     """Writes a 2-D array of [0,1] floats as an 8-bit binary portable graymap."""
     if image.ndim != 2:
@@ -212,8 +194,6 @@ class SyntheticConfig:
     """Generator settings. Defaults produce 16 combos learnable by a small net."""
 
     image_size: int = 34
-    shapes: tuple[str, ...] = GLYPHS
-    positions: tuple[str, ...] = QUADRANTS
     samples_per_combo: int = 80
     noise_std: float = 0.02
     seed: int = 0
@@ -225,12 +205,6 @@ class SyntheticConfig:
             raise DataError(f"samples_per_combo must be >= 1, got {self.samples_per_combo}")
         if self.noise_std < 0:
             raise DataError(f"noise_std must be >= 0, got {self.noise_std}")
-        bad = [s for s in self.shapes if s not in GLYPHS]
-        if bad or not self.shapes:
-            raise DataError(f"shapes must be drawn from {GLYPHS}, got {self.shapes}")
-        badp = [p for p in self.positions if p not in QUADRANTS]
-        if badp or not self.positions:
-            raise DataError(f"positions must be drawn from {QUADRANTS}, got {self.positions}")
 
 
 def quadrant_center(size: int, quadrant: str) -> tuple[int, int]:
@@ -279,13 +253,13 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str) -> tuple[list[Mani
 
     Entry paths are relative to out_dir. Fully deterministic for a given seed.
     """
-    categories = LabelCategories(("shape", "position"), (tuple(config.shapes), tuple(config.positions)))
+    categories = LabelCategories(("shape", "position"), (GLYPHS, QUADRANTS))
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(config.seed & SEED_MASK)
     entries = []
     idx = 0
-    for si, shape in enumerate(config.shapes):
-        for pi, pos in enumerate(config.positions):
+    for si, shape in enumerate(GLYPHS):
+        for pi, pos in enumerate(QUADRANTS):
             for _ in range(config.samples_per_combo):
                 img = render_image(shape, pos, config.image_size, config.noise_std, rng)
                 name = f"img_{idx:05d}.pgm"

@@ -102,10 +102,7 @@ def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
             # the first update already points along the class feature means
             params[name] = LayerParams(Tensor.zeros(wshape), np.zeros(wshape[0]), lay.frozen)
         else:
-            out_dim, in_dim, kernel, _ = wshape
-            params[name] = init_params(
-                lay.kind, out_dim=out_dim, in_dim=in_dim, kernel=kernel, seed=int(layer_seed), frozen=lay.frozen
-            )
+            params[name] = init_params(lay.initialiser, wshape, int(layer_seed), lay.frozen)
     return ModelBundle(spec, params)
 
 

@@ -17,8 +17,9 @@ width. A category binding (which label categories feed which heads) is not
 part of the text: it is attached separately with bind_categories.
 
 Each layer kind is described once, in `_LAYER_KINDS`: the keys it takes, its
-output shape, and its weight shape. Parsing, serializing, shape validation,
-the cost model and the model file all read that table.
+output shape, its weight shape and how its weights are initialised. Parsing,
+serializing, shape validation, the cost model and the model file all read
+that table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 
 from .dataset import LabelCategories
 from .errors import MhforgeError
-from .tensor_ops import Shape4, window_out_dim
+from .tensor_ops import Initialiser, Shape4, glorot_uniform, he_normal, window_out_dim
 
 Shape3 = tuple[int, int, int]
 
@@ -87,6 +88,11 @@ class LayerSpec:
         """(out, in, K, K) weights of this parameterised layer when its input is `in_shape`."""
         return _LAYER_KINDS[self.kind].weight_shape(self, in_shape)
 
+    @property
+    def initialiser(self) -> Initialiser:
+        """How this parameterised layer's initial weights are drawn."""
+        return _LAYER_KINDS[self.kind].initialiser
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -132,6 +138,7 @@ class LayerKind:
     required: tuple[str, ...]
     out_shape: Callable[[LayerSpec, Shape3], Shape3] | None = None  # raises on impossible sizes; None: metric sink
     weight_shape: Callable[[LayerSpec, Shape3], Shape4] | None = None  # (out, in, K, K); None: no parameters
+    initialiser: Initialiser | None = None  # draws the initial weights of a kind with parameters
     defaults: Callable[[dict], dict] = lambda f: {}  # parsed keys -> values of the unstated optional ones
 
 
@@ -166,7 +173,7 @@ _LAYER_KINDS = {
     "input": LayerKind(("shape",), ("shape",), lambda lay, s: s),
     "conv": LayerKind(
         ("in", "out_channels", "kernel", "stride", "pad", "frozen"), ("in", "out_channels", "kernel"), _conv_shape,
-        lambda lay, s: (lay.out_channels, s[0], lay.kernel, lay.kernel), lambda f: {"stride": 1, "pad": 0},
+        lambda lay, s: (lay.out_channels, s[0], lay.kernel, lay.kernel), he_normal, lambda f: {"stride": 1, "pad": 0},
     ),
     "relu": LayerKind(("in",), ("in",), lambda lay, s: s),
     "maxpool": LayerKind(  # an unstated pool stride is the window size
@@ -175,7 +182,7 @@ _LAYER_KINDS = {
     "gavgpool": LayerKind(("in",), ("in",), lambda lay, s: (s[0], 1, 1)),
     "fc": LayerKind(
         ("in", "out", "in_features", "head", "frozen"), ("in", "out"), _fc_shape,
-        lambda lay, s: (lay.out_features, prod(s), 1, 1),
+        lambda lay, s: (lay.out_features, prod(s), 1, 1), glorot_uniform,
     ),
     "loss": LayerKind(("in", "label", "weight"), ("in", "label"), defaults=lambda f: {"weight": 1.0}),
     "accuracy": LayerKind(("in", "label"), ("in", "label")),

@@ -11,6 +11,7 @@ In every variant the backbone is frozen and only head parameters train.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .dataset import LabelCategories, ManifestEntry
 from .errors import MhforgeError
@@ -80,8 +81,9 @@ class HcLabelMap:
 
     combos: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
+        """Combination -> dense class id, built on first read."""
         return {combo: i for i, combo in enumerate(self.combos)}
 
 

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import MhforgeError
 
 Shape4 = tuple[int, int, int, int]
+# (rng, weight shape) -> initial weights; a string names the rng type, so importing this does not load numpy.random
+Initialiser = Callable[["np.random.Generator", Shape4], np.ndarray]
 
 SEED_MASK = (1 << 64) - 1  # seeds are reduced to 64 bits wherever numpy takes them
 
@@ -384,22 +387,23 @@ def top1_accuracy(logits: Tensor, labels) -> float:
     return float((z.argmax(axis=1) == lab).mean())
 
 
-def init_params(
-    kind: str, *, out_dim: int, in_dim: int, kernel: int = 1, seed: int = 0, frozen: bool = False
-) -> LayerParams:
-    """Deterministic parameter init for one layer.
+def he_normal(rng: np.random.Generator, shape: Shape4) -> np.ndarray:
+    """Conv weights: zero-mean Gaussian with std sqrt(2 / (K*K*Cin))."""
+    _, in_dim, kernel, _ = shape
+    return rng.standard_normal(shape) * np.sqrt(2.0 / (kernel * kernel * in_dim))
 
-    conv: zero-mean Gaussian with std sqrt(2 / (K*K*Cin)).
-    fc:   uniform in +/- sqrt(6 / (D + F)).
-    Biases start at zero. The same 64-bit seed always yields identical params.
+
+def glorot_uniform(rng: np.random.Generator, shape: Shape4) -> np.ndarray:
+    """Fc weights: uniform in +/- sqrt(6 / (D + F))."""
+    out_dim, in_dim, _, _ = shape
+    limit = np.sqrt(6.0 / (in_dim + out_dim))
+    return rng.uniform(-limit, limit, shape)
+
+
+def init_params(draw: Initialiser, shape: Shape4, seed: int, frozen: bool = False) -> LayerParams:
+    """Deterministic parameters for one layer: weights `draw(rng, shape)`, zero biases.
+
+    The same 64-bit seed always yields identical params.
     """
     rng = np.random.default_rng(seed & SEED_MASK)
-    if kind == "conv":
-        std = np.sqrt(2.0 / (kernel * kernel * in_dim))
-        w = rng.standard_normal((out_dim, in_dim, kernel, kernel)) * std
-    elif kind == "fc":
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        w = rng.uniform(-limit, limit, (out_dim, in_dim, 1, 1))
-    else:
-        raise MhforgeError(f"layer kind {kind!r} has no parameters to initialize")
-    return LayerParams(Tensor(w), np.zeros(out_dim), frozen)
+    return LayerParams(Tensor(draw(rng, shape)), np.zeros(shape[0]), frozen)

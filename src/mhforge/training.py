@@ -14,10 +14,13 @@ conv's patch matrix for its weight gradient. Every other pass (validation,
 evaluation, prediction) runs under `NO_BACKWARD` and drops each activation
 after its last reader.
 
-Validation, `evaluate` and `evaluate_hc` score a labelled image set through
-one loop, `_chunks`, which runs one such pass per EVAL_CHUNK images. The
-images and label columns of both split sides and of `evaluate` come from one
-step, `_arrays`.
+Every forward pass over a labelled image set goes through one loop,
+`_passes`: training batches (the epoch order cut into `batch_size` index
+arrays, under the plan) and validation, `evaluate` and `evaluate_hc` (one
+NO_BACKWARD pass per EVAL_CHUNK images). One accumulator, `_add`, sums every
+head's batch-weighted loss and accuracy over those passes. The images and
+label columns of both split sides and of `evaluate` come from one step,
+`_arrays`, which picks each model category's column of the manifest's labels.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ManifestEntry, epoch_order, load_images, project_entries
+from .dataset import ManifestEntry, epoch_order, load_images
 from .errors import MhforgeError
 from .modelfile import ModelBundle
 from .surgery import HcLabelMap, hc_categories, hc_encode
@@ -374,11 +377,9 @@ class TrainLog:
 
 
 def _arrays(entries: list[ManifestEntry], full_cats, cats) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """The entries' images and int64 label columns for `cats`, projected from the manifest's `full_cats`."""
-    if full_cats.names != cats.names:
-        entries = project_entries(entries, full_cats, cats.names)
-    labels = {cat: np.array([e.labels[k] for e in entries], dtype=np.int64) for k, cat in enumerate(cats.names)}
-    return load_images(entries), labels
+    """The entries' images and, per category of `cats`, its int64 column of the labels listed in `full_cats` order."""
+    table = np.array([e.labels for e in entries], dtype=np.int64)
+    return load_images(entries), {cat: table[:, full_cats.index(cat)] for cat in cats.names}
 
 
 def _manifest_view(bundle: ModelBundle, entries: list[ManifestEntry], manifest_categories):
@@ -386,7 +387,7 @@ def _manifest_view(bundle: ModelBundle, entries: list[ManifestEntry], manifest_c
 
     A single-head model trained from a shared multi-category manifest keeps
     the full label tuples for splitting (so every variant sees the same
-    train/validation membership) and projects to its own columns afterwards.
+    train/validation membership) and picks its own columns afterwards.
     """
     model_cats = bundle.spec.categories
     if model_cats is None:
@@ -411,6 +412,39 @@ def _check_finite(losses: dict[str, float], where: str) -> None:
     for c, loss in losses.items():
         if not np.isfinite(loss):
             raise TrainError(f"training diverged in {where}: head {c} loss is {loss}")
+
+
+def _passes(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray], batches=None, plan=NO_BACKWARD):
+    """Yields (rows, state): one forward pass under `plan` over the images and labels at each `rows` of `batches`.
+
+    `batches` defaults to EVAL_CHUNK-image slices. Each pass runs only when
+    asked for, so it sees the parameters as the step before left them.
+    """
+    if batches is None:
+        batches = [slice(start, start + EVAL_CHUNK) for start in range(0, images.shape[0], EVAL_CHUNK)]
+    for rows in batches:
+        yield rows, forward_all(bundle, Tensor(images.data[rows]), {c: lab[rows] for c, lab in labels.items()}, plan)
+
+
+def _add(sums: dict[str, list[float]], state: ForwardState) -> None:
+    """Adds each head's loss and accuracy on one pass, weighted by its batch size, to sums[head] = [loss, hits]."""
+    for c, total in sums.items():
+        hr = state.heads[c]
+        total[0] += hr.loss * state.batch_size
+        total[1] += hr.accuracy * state.batch_size
+
+
+def _means(sums: dict[str, list[float]], n: int) -> tuple[dict[str, float], dict[str, float]]:
+    """Per head, the mean loss and the mean accuracy of the n images summed into `sums`."""
+    return {c: loss / n for c, (loss, _) in sums.items()}, {c: hits / n for c, (_, hits) in sums.items()}
+
+
+def _evaluate_arrays(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]):
+    """Per head, the mean loss and the mean accuracy over the images, EVAL_CHUNK per pass."""
+    sums = {c: [0.0, 0.0] for c in bundle.spec.categories.names}
+    for _, state in _passes(bundle, images, labels):
+        _add(sums, state)
+    return _means(sums, images.shape[0])
 
 
 def train(
@@ -445,59 +479,23 @@ def train(
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = epoch_order(n_train, int(epoch_seeds[epoch - 1]))
-        sums = {c: 0.0 for c in cats.names}
-        hits = {c: 0.0 for c in cats.names}
-        starts = range(0, n_train, config.batch_size)
-        for batch, start in enumerate(starts, start=1):
-            idx = order[start : start + config.batch_size]
-            images = Tensor(train_images.data[idx])
-            labels = {c: train_labels[c][idx] for c in cats.names}
-            # a diverging step overflows silently: the finite-loss check is its one report
-            with _quiet_fp():
-                state = forward_all(bundle, images, labels, plan)
-                losses = {c: state.heads[c].loss for c in cats.names}
-                _check_finite(losses, f"epoch {epoch}, batch {batch} of {len(starts)}")
+        batches = [order[start : start + config.batch_size] for start in range(0, n_train, config.batch_size)]
+        sums = {c: [0.0, 0.0] for c in cats.names}
+        # a diverging step overflows silently: the finite-loss check is its one report
+        with _quiet_fp():
+            for batch, (_, state) in enumerate(_passes(bundle, train_images, train_labels, batches, plan), start=1):
+                where = f"epoch {epoch}, batch {batch} of {len(batches)}"
+                _check_finite({c: state.heads[c].loss for c in cats.names}, where)
                 grads = backward_multi(bundle, state, loss_head_grads(state))
                 sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
-            for c in cats.names:
-                sums[c] += losses[c] * len(idx)
-                hits[c] += state.heads[c].accuracy * len(idx)
-        train_loss = {c: sums[c] / n_train for c in cats.names}
-        train_acc = {c: hits[c] / n_train for c in cats.names}
-        if val is not None:
-            with _quiet_fp():
-                val_metrics = _evaluate_arrays(bundle, *val)
-            val_loss = {c: val_metrics[c][0] for c in cats.names}
-            _check_finite(val_loss, f"epoch {epoch}, validation")
-            val_acc = {c: val_metrics[c][1] for c in cats.names}
-        else:
-            val_loss = {c: float("nan") for c in cats.names}
-            val_acc = {c: float("nan") for c in cats.names}
-        log.records.append(
-            EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc, time.perf_counter() - t0)
-        )
+                _add(sums, state)
+            if val is not None:
+                val_loss, val_acc = _evaluate_arrays(bundle, *val)
+                _check_finite(val_loss, f"epoch {epoch}, validation")
+            else:
+                val_loss = val_acc = dict.fromkeys(cats.names, float("nan"))
+        log.records.append(EpochRecord(epoch, *_means(sums, n_train), val_loss, val_acc, time.perf_counter() - t0))
     return bundle, log
-
-
-def _chunks(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]):
-    """Scores the images EVAL_CHUNK at a time: yields (rows, state), one NO_BACKWARD pass per slice."""
-    for start in range(0, images.shape[0], EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
-        yield rows, forward_all(bundle, Tensor(images.data[rows]), {c: lab[rows] for c, lab in labels.items()})
-
-
-def _evaluate_arrays(
-    bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]
-) -> dict[str, tuple[float, float]]:
-    cats = bundle.spec.categories
-    n = images.shape[0]
-    sums = {c: 0.0 for c in cats.names}
-    hits = {c: 0.0 for c in cats.names}
-    for _, state in _chunks(bundle, images, labels):
-        for c in cats.names:
-            sums[c] += state.heads[c].loss * state.batch_size
-            hits[c] += state.heads[c].accuracy * state.batch_size
-    return {c: (sums[c] / n, hits[c] / n) for c in cats.names}
 
 
 def evaluate(
@@ -505,7 +503,8 @@ def evaluate(
 ) -> dict[str, tuple[float, float]]:
     """Per-category (loss, accuracy) without touching any parameter."""
     full_cats = _manifest_view(bundle, entries, manifest_categories)
-    return _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories))
+    loss, acc = _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories))
+    return {c: (loss[c], acc[c]) for c in loss}
 
 
 @dataclass(frozen=True)
@@ -541,18 +540,15 @@ def evaluate_hc(
     cat_name = bundle.spec.categories.names[0]
     n = images.shape[0]
 
-    total_loss = 0.0
-    total_hits = 0.0
+    sums = {cat_name: [0.0, 0.0]}
     cat_hits = np.zeros(categories.n)
     cat_nll = np.zeros(categories.n)
     combos = np.array(hc_map.combos, dtype=np.int64)  # (n_combos, n_cats)
     true_labels = np.array([e.labels for e in entries], dtype=np.int64)
 
-    for rows, state in _chunks(bundle, images, {cat_name: hc_ids}):
-        hr = state.heads[cat_name]
-        total_loss += hr.loss * state.batch_size
-        total_hits += hr.accuracy * state.batch_size
-        z = hr.logits.data.reshape(state.batch_size, -1)
+    for rows, state in _passes(bundle, images, {cat_name: hc_ids}):
+        _add(sums, state)
+        z = state.heads[cat_name].logits.data.reshape(state.batch_size, -1)
         truth = true_labels[rows]
         decoded = combos[z.argmax(axis=1)]  # (batch, n_cats)
         cat_hits += (decoded == truth).sum(axis=0)
@@ -569,7 +565,8 @@ def evaluate_hc(
     per_category = {
         cat: (cat_nll[k] / n, cat_hits[k] / n) for k, cat in enumerate(categories.names)
     }
-    return HcEval(total_loss / n, total_hits / n, per_category)
+    loss, acc = _means(sums, n)
+    return HcEval(loss[cat_name], acc[cat_name], per_category)
 
 
 def predict_ids(bundle: ModelBundle, images: Tensor) -> tuple[np.ndarray, ...]:

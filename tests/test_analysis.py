@@ -157,8 +157,8 @@ class TestCoverage:
     def test_three_categories_brute_force(self):
         assert class_coverage([3, 4, 5]) == len(set(itertools.product(range(3), range(4), range(5))))
 
-    def test_from_categories_object(self):
-        assert class_coverage(cats_wide()) == 384
+    def test_from_class_counts(self):
+        assert class_coverage(cats_wide().class_counts) == 384
 
     def test_breakdown_coverage(self):
         spec = attach_heads(parse_netspec(WIDE), cats_wide(), "data")

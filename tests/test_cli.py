@@ -361,6 +361,15 @@ class TestBench:
         assert lines[0] == "run_index,seconds"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_limit_below_one_is_refused(self, pipeline, tmp_path, capsys, limit):
+        code = main(["bench", "--model", f"{pipeline['proposed']}/model.mhf", "--categories", pipeline["cats"],
+                     "--manifest", pipeline["manifest"], "--limit", limit, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --limit must be >= 1, got {limit}")
+        assert os.listdir(tmp_path) == []
+
 
 class TestCompare:
     def test_writes_all_three_formats_by_default(self, pipeline):
@@ -416,6 +425,27 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{model}: label maps: label maps line 1: class line before any category header" in err
+
+
+class TestMalformedRunFiles:
+    """A run directory's eval.json or bench.json that cannot be read fails with `error:` and its path."""
+
+    @pytest.mark.parametrize("name,text,reason", [
+        ("bench.json", '{"total_seconds": 1.0}', "no 'mean_ms' field"),
+        ("bench.json", '{"total_seconds": 1.0, "mean_ms": 2.0, "images": 0}', "images is 0"),
+        ("eval.json", '{"categories": {"shape": {"loss": 0.5}}}', "no 'accuracy' field"),
+        ("eval.json", '{"categor', "JSONDecodeError: "),
+    ], ids=["bench_without_mean_ms", "bench_with_zero_images", "eval_cell_without_accuracy", "eval_truncated"])
+    def test_names_the_file(self, tmp_path, capsys, name, text, reason):
+        run = tmp_path / "run"
+        run.mkdir()
+        save_model(new_bundle(parse_netspec(BACKBONE)), str(run / "model.mhf"))
+        (run / name).write_text(text)
+        code = main(["compare", "--proposed", str(run), "--two-model", str(run),
+                     "--hard-coded", str(run), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / name}: {reason}")
 
 
 class TestThreadCap:

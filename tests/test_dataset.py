@@ -16,7 +16,6 @@ from mhforge.dataset import (
     load_pgm,
     parse_categories,
     parse_manifest,
-    project_entries,
     quadrant_center,
     save_pgm,
     serialize_categories,
@@ -116,25 +115,6 @@ class TestManifest:
         assert joined[0].image_path == os.path.join("/data", "a.pgm")
 
 
-class TestProjectEntries:
-    def test_keeps_selected_columns(self):
-        entries = [ManifestEntry("a.pgm", (1, 0)), ManifestEntry("b.pgm", (0, 1))]
-        got = project_entries(entries, small_cats(), ["position"])
-        assert got == [ManifestEntry("a.pgm", (0,)), ManifestEntry("b.pgm", (1,))]
-
-    def test_identity_projection(self):
-        entries = [ManifestEntry("a.pgm", (1, 0))]
-        assert project_entries(entries, small_cats(), small_cats().names) == entries
-
-    def test_unknown_category(self):
-        with pytest.raises(DataError, match="unknown categories"):
-            project_entries([ManifestEntry("a.pgm", (0, 0))], small_cats(), ["color"])
-
-    def test_arity_mismatch(self):
-        with pytest.raises(DataError, match="1 labels for 2 categories"):
-            project_entries([ManifestEntry("a.pgm", (0,))], small_cats(), ["position"])
-
-
 class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -222,8 +202,6 @@ class TestGenerate:
     def test_bad_config(self):
         with pytest.raises(DataError, match="image_size"):
             SyntheticConfig(image_size=4)
-        with pytest.raises(DataError, match="shapes"):
-            SyntheticConfig(shapes=("hexagon",))
         with pytest.raises(DataError, match="noise_std"):
             SyntheticConfig(noise_std=-0.1)
 

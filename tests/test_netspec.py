@@ -16,6 +16,7 @@ from mhforge.netspec import (
     serialize_netspec,
     validate_shapes,
 )
+from mhforge.tensor_ops import glorot_uniform, he_normal
 
 from helpers import random_spec_text
 
@@ -127,6 +128,11 @@ class TestParse:
 
 
 class TestValidate:
+    def test_conv_and_fc_draw_from_their_kinds_initialiser(self):
+        spec = parse_netspec(TINYNET)
+        assert spec.layer("c1").initialiser is he_normal
+        assert spec.layer("head_make").initialiser is glorot_uniform
+
     def test_tinynet_shapes(self):
         spec = parse_netspec(TINYNET)
         shapes = validate_shapes(spec)

@@ -159,6 +159,13 @@ class TestHcMap:
         for combo in m.combos:
             assert m.combos[hc_encode(m, combo)] == combo
 
+    def test_index_is_built_once(self):
+        m = self.the_map()
+        assert m.index is m.index
+        assert m.index == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (2, 1): 3}
+        # a read index changes neither equality nor hash
+        assert m == self.the_map() and hash(m) == hash(self.the_map())
+
     def test_encode_unobserved(self):
         with pytest.raises(SurgeryError, match=r"\(1, 1\) was never observed"):
             hc_encode(self.the_map(), (1, 1))

@@ -16,6 +16,8 @@ from mhforge.tensor_ops import (
     fully_connected_backward,
     global_avgpool,
     global_avgpool_backward,
+    glorot_uniform,
+    he_normal,
     init_params,
     maxpool2d,
     maxpool2d_backward,
@@ -549,39 +551,41 @@ class TestAccuracy:
 
 class TestInitParams:
     def test_deterministic(self):
-        a = init_params("conv", out_dim=4, in_dim=3, kernel=3, seed=123)
-        b = init_params("conv", out_dim=4, in_dim=3, kernel=3, seed=123)
+        a = init_params(he_normal, (4, 3, 3, 3), seed=123)
+        b = init_params(he_normal, (4, 3, 3, 3), seed=123)
         assert np.array_equal(a.weights.data, b.weights.data)
 
     def test_seed_changes_weights(self):
-        a = init_params("fc", out_dim=4, in_dim=8, seed=1)
-        b = init_params("fc", out_dim=4, in_dim=8, seed=2)
+        a = init_params(glorot_uniform, (4, 8, 1, 1), seed=1)
+        b = init_params(glorot_uniform, (4, 8, 1, 1), seed=2)
         assert not np.array_equal(a.weights.data, b.weights.data)
 
     def test_conv_std(self):
         # enough samples that the empirical std should land within 5%
-        p = init_params("conv", out_dim=100, in_dim=100, kernel=3, seed=0)
+        p = init_params(he_normal, (100, 100, 3, 3), seed=0)
         want = np.sqrt(2.0 / (9 * 100))
         got = p.weights.data.std()
         assert abs(got - want) / want < 0.05
 
     def test_fc_bounds(self):
-        p = init_params("fc", out_dim=50, in_dim=70, seed=4)
+        p = init_params(glorot_uniform, (50, 70, 1, 1), seed=4)
         limit = np.sqrt(6.0 / 120)
         assert np.max(np.abs(p.weights.data)) <= limit
         assert p.weights.data.max() > limit * 0.9
 
     def test_bias_zero(self):
-        p = init_params("conv", out_dim=4, in_dim=2, kernel=3, seed=5)
+        p = init_params(he_normal, (4, 2, 3, 3), seed=5)
         assert np.all(p.bias == 0.0)
 
     def test_mask_to_64_bits(self):
-        a = init_params("fc", out_dim=3, in_dim=3, seed=1)
-        b = init_params("fc", out_dim=3, in_dim=3, seed=1 + (1 << 64))
+        a = init_params(glorot_uniform, (3, 3, 1, 1), seed=1)
+        b = init_params(glorot_uniform, (3, 3, 1, 1), seed=1 + (1 << 64))
         assert np.array_equal(a.weights.data, b.weights.data)
 
     def test_shapes(self):
-        c = init_params("conv", out_dim=6, in_dim=2, kernel=5, seed=0)
+        c = init_params(he_normal, (6, 2, 5, 5), seed=0)
         assert c.weights.shape == (6, 2, 5, 5)
-        f = init_params("fc", out_dim=7, in_dim=9, seed=0)
+        assert c.bias.shape == (6,)
+        f = init_params(glorot_uniform, (7, 9, 1, 1), seed=0)
         assert f.weights.shape == (7, 9, 1, 1)
+        assert f.bias.shape == (7,)

@@ -25,7 +25,6 @@ from mhforge.dataset import (
     SyntheticConfig,
     generate_synthetic,
     load_images,
-    project_entries,
     save_pgm,
     with_base,
 )
@@ -815,8 +814,22 @@ class TestTrain:
         spec = attach_heads(backbone, PIXEL_CATS.subset(["col"]), "feat")
         bundle = new_bundle(spec, seed=2)
         whole = evaluate(bundle, pixel_dataset, manifest_categories=PIXEL_CATS)
-        projected = evaluate(bundle, project_entries(pixel_dataset, PIXEL_CATS, ["col"]))
+        col = PIXEL_CATS.index("col")
+        projected = evaluate(bundle, [ManifestEntry(e.image_path, (e.labels[col],)) for e in pixel_dataset])
         assert whole == projected
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_wrong_label_count_names_the_image(self, pixel_dataset, run):
+        # a single-head model over the shared two-column manifest, one entry of which has only its own column
+        backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
+        bundle = new_bundle(attach_heads(backbone, PIXEL_CATS.subset(["col"]), "feat"), seed=0)
+        bad = ManifestEntry(pixel_dataset[5].image_path, (1,))
+        entries = [*pixel_dataset[:5], bad, *pixel_dataset[6:]]
+        with pytest.raises(TrainError, match=re.escape(f"{bad.image_path}: 1 labels for 2 categories")):
+            if run == "train":
+                train(bundle, entries, TrainConfig(epochs=1), manifest_categories=PIXEL_CATS)
+            else:
+                evaluate(bundle, entries, manifest_categories=PIXEL_CATS)
 
 
 def hc_pixel_model(entries, seed):
