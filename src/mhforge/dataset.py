@@ -151,7 +151,7 @@ def save_pgm(path: str, image: np.ndarray) -> None:
 
 
 def load_pgm(path: str) -> np.ndarray:
-    """Reads an 8-bit binary portable graymap into a 2-D float array scaled to [0,1]."""
+    """Reads an 8-bit binary portable graymap's raster as a 2-D uint8 array; `scale` gives its pixels."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
@@ -182,7 +182,14 @@ def load_pgm(path: str) -> np.ndarray:
     raster = data[pos : pos + w * h]
     if len(raster) != w * h:
         raise DataError(f"{path}: expected {w * h} pixel bytes, found {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
+    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+
+
+def scale(rasters: np.ndarray) -> np.ndarray:
+    """The float64 pixels of 8-bit rasters: each byte / 255, in [0, 1]."""
+    pixels = rasters.astype(np.float64)
+    pixels /= 255.0
+    return pixels
 
 
 GLYPHS = ("square", "circle", "triangle", "cross")
@@ -275,17 +282,21 @@ def epoch_order(count: int, seed: int) -> np.ndarray:
     return rng.permutation(count)
 
 
-def load_images(entries: list[ManifestEntry]) -> Tensor:
-    """Decodes every entry's graymap into one (N, 1, H, W) tensor."""
+def load_rasters(entries: list[ManifestEntry]) -> np.ndarray:
+    """Decodes every entry's graymap into one (N, 1, H, W) uint8 stack of rasters."""
     if not entries:
         raise DataError("no entries to load")
     first = load_pgm(entries[0].image_path)
-    stack = np.empty((len(entries), 1, *first.shape))
+    stack = np.empty((len(entries), 1, *first.shape), dtype=np.uint8)
     stack[0, 0] = first
     for i, e in enumerate(entries[1:], start=1):
         img = load_pgm(e.image_path)
         if img.shape != first.shape:
             raise DataError(f"{e.image_path}: size {img.shape} differs from {first.shape}")
         stack[i, 0] = img
-    return Tensor(stack)
+    return stack
 
+
+def load_images(entries: list[ManifestEntry]) -> Tensor:
+    """Decodes every entry's graymap into one (N, 1, H, W) tensor of pixels in [0, 1]."""
+    return Tensor(scale(load_rasters(entries)))

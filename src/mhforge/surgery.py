@@ -133,8 +133,15 @@ def hc_encode(hc_map: HcLabelMap, combo: tuple[int, ...]) -> int:
 
 
 def convert_manifest_hc(entries: list[ManifestEntry], hc_map: HcLabelMap) -> list[ManifestEntry]:
-    """Replaces each entry's n labels with its single dense HC class id."""
-    return [ManifestEntry(e.image_path, (hc_encode(hc_map, e.labels),)) for e in entries]
+    """Replaces each entry's n labels with its single dense HC class id; an unobserved combination names the image."""
+    converted = []
+    for e in entries:
+        try:
+            hc_id = hc_encode(hc_map, e.labels)
+        except SurgeryError as exc:
+            raise SurgeryError(f"{e.image_path}: {exc}") from None
+        converted.append(ManifestEntry(e.image_path, (hc_id,)))
+    return converted
 
 
 def serialize_hc_map(hc_map: HcLabelMap) -> str:

