@@ -58,7 +58,7 @@ from .surgery import (
     parse_hc_map,
     serialize_hc_map,
 )
-from .training import TrainConfig, evaluate, evaluate_hc, split_entries, train
+from .training import TrainConfig, evaluate, split_entries, train
 
 VARIANT_CHOICES = ("2m", "hc", "proposed")  # build --variant: 2m builds two_model, hc hard_coded
 
@@ -190,21 +190,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     full_cats = parse_categories(_read_text(args.categories))
     entries = _load_manifest_entries(args.manifest, full_cats)
     entries = _apply_side(entries, args.side, args.split, args.seed)
+    hc_map = parse_hc_map(_read_text(args.hc_map)) if args.hc_map else None
     payload: dict = {"categories": {}}
+    scored_by: dict[str, str] = {}  # category -> the model file that scores it
     for model_path in args.model:
         bundle = load_model(model_path)
-        if args.hc_map:
-            hc_map = parse_hc_map(_read_text(args.hc_map))
-            result = evaluate_hc(bundle, entries, hc_map, full_cats)
-            payload["combined"] = {
-                "loss": result.combined_loss,
-                "accuracy": result.combined_accuracy,
-            }
-            for cat, (loss, acc) in result.per_category.items():
-                payload["categories"][cat] = {"loss": loss, "accuracy": acc}
-        else:
-            for cat, (loss, acc) in evaluate(bundle, entries, manifest_categories=full_cats).items():
-                payload["categories"][cat] = {"loss": loss, "accuracy": acc}
+        cats = full_cats.names if hc_map else bundle.spec.categories.names
+        for cat in cats:
+            if cat in scored_by:
+                raise MhforgeError(f"category {cat!r} is scored by both {scored_by[cat]} and {model_path}")
+            scored_by[cat] = model_path
+        scores = evaluate(bundle, entries, manifest_categories=full_cats, hc_map=hc_map)
+        for cat in cats:
+            payload["categories"][cat] = dict(zip(("loss", "accuracy"), scores[cat]))
+        if hc_map:
+            payload["combined"] = dict(zip(("loss", "accuracy"), scores[bundle.spec.categories.names[0]]))
     out_path = args.out or os.path.join(os.path.dirname(os.path.abspath(args.model[0])), "eval.json")
     _write_json(out_path, payload)
     _run_manifest(os.path.dirname(out_path), "eval", args, [out_path])

@@ -210,8 +210,8 @@ class SyntheticConfig:
             raise DataError(f"image_size must be >= 8, got {self.image_size}")
         if self.samples_per_combo < 1:
             raise DataError(f"samples_per_combo must be >= 1, got {self.samples_per_combo}")
-        if self.noise_std < 0:
-            raise DataError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise DataError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 def quadrant_center(size: int, quadrant: str) -> tuple[int, int]:

@@ -184,8 +184,9 @@ def load_model(path: str) -> ModelBundle:
     for name, wshape in weight_shapes(spec).items():
         wraw = take(4 * prod(wshape), f"{name} weights")
         braw = take(4 * wshape[0], f"{name} bias")
-        weights = np.frombuffer(wraw, dtype="<f4").astype(np.float64).reshape(wshape)
-        bias = np.frombuffer(braw, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns on the cast; the isfinite check refuses it
+            weights = np.frombuffer(wraw, dtype="<f4").astype(np.float64).reshape(wshape)
+            bias = np.frombuffer(braw, dtype="<f4").astype(np.float64)
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ModelFileError(f"{path}: layer {name} holds non-finite weights or bias")
         params[name] = LayerParams(Tensor(weights), bias, spec.layer(name).frozen)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .dataset import LabelCategories, ManifestEntry
 from .errors import MhforgeError
 from .netspec import LayerSpec, NetworkSpec, validate_shapes
@@ -142,6 +144,31 @@ def convert_manifest_hc(entries: list[ManifestEntry], hc_map: HcLabelMap) -> lis
             raise SurgeryError(f"{e.image_path}: {exc}") from None
         converted.append(ManifestEntry(e.image_path, (hc_id,)))
     return converted
+
+
+def hc_scores(hc_map: HcLabelMap, logits: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per category, the NLL sum and the hits of one pass's merged-label predictions, decoded through the map.
+
+    `logits` are the merged head's (batch, combinations) outputs and `truth`
+    the (batch, categories) true label tuples. A hit is a decoded argmax
+    combination that holds the true class; the NLL is the negative log of
+    the marginal probability mass on the true class within the category,
+    taken by log-sum-exp over the logits so that it stays finite where the
+    softmax underflows to zero.
+    """
+    combos = np.array(hc_map.combos, dtype=np.int64)  # (n_combos, n_cats)
+    hits = (combos[logits.argmax(axis=1)] == truth).sum(axis=0)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_total = np.log(np.exp(shifted).sum(axis=1))
+    nll = np.zeros(combos.shape[1])
+    for k in range(combos.shape[1]):
+        # log of the marginal probability mass on the true class within category k
+        sel = combos[None, :, k] == truth[:, k][:, None]
+        masked = np.where(sel, shifted, -np.inf)
+        top = masked.max(axis=1, keepdims=True)
+        log_mass = top[:, 0] + np.log(np.exp(masked - top).sum(axis=1))
+        nll[k] = (log_total - log_mass).sum()
+    return nll, hits
 
 
 def serialize_hc_map(hc_map: HcLabelMap) -> str:

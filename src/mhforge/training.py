@@ -16,13 +16,14 @@ after its last reader.
 
 Every forward pass over a labelled image set goes through one loop,
 `_passes`: training batches (the epoch order cut into `batch_size` index
-arrays, under the plan) and validation, `evaluate` and `evaluate_hc` (one
-NO_BACKWARD pass per EVAL_CHUNK images). One accumulator, `_add`, sums every
-head's batch-weighted loss and accuracy over those passes. The images and
-label columns of both split sides and of `evaluate` come from one step,
-`_arrays`, which picks each model category's column of the manifest's labels.
-Those image sets are held as their 8-bit rasters; each pass scales its own
-rows to float64 pixels (`dataset.scale`).
+arrays, under the plan) and validation and `evaluate` (one NO_BACKWARD pass
+per EVAL_CHUNK images). One accumulator, `_add`, sums every head's
+batch-weighted loss and accuracy over those passes; an `evaluate` given an
+HC map also adds each pass's decoded per-category scores (`surgery.hc_scores`)
+in the same loop. The images and label columns of both split sides and of
+`evaluate` come from one step, `_arrays`, which picks each model category's
+column of the manifest's labels. Those image sets are held as their 8-bit
+rasters; each pass scales its own rows to float64 pixels (`dataset.scale`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .dataset import ManifestEntry, epoch_order, scale
 from .dataset import load_rasters as load_images
 from .errors import MhforgeError
 from .modelfile import ModelBundle
-from .surgery import HcLabelMap, convert_manifest_hc, hc_categories
+from .surgery import HcLabelMap, convert_manifest_hc, hc_categories, hc_scores
 from .tensor_ops import (
     SEED_MASK,
     LayerParams,
@@ -446,12 +447,23 @@ def _means(sums: dict[str, list[float]], n: int) -> tuple[dict[str, float], dict
     return {c: loss / n for c, (loss, _) in sums.items()}, {c: hits / n for c, (_, hits) in sums.items()}
 
 
-def _evaluate_arrays(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str, np.ndarray]):
-    """Per head, the mean loss and the mean accuracy over the rasters' images, EVAL_CHUNK per pass."""
+def _evaluate_arrays(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str, np.ndarray], hc=None):
+    """Per category, the mean loss and the mean accuracy over the rasters' images, EVAL_CHUNK per pass.
+
+    The categories are the heads' and, given `hc` (an HC map, the images'
+    true label tuples and their categories' names), each of those, scored on
+    the one merged head's decoded predictions (`surgery.hc_scores`). Where a
+    head shares a decoded category's name, the head's scores are kept.
+    """
     sums = {c: [0.0, 0.0] for c in bundle.spec.categories.names}
-    for _, state in _passes(bundle, rasters, labels):
+    hc_map, truth, names = hc or (None, None, ())
+    decoded = np.zeros((2, len(names)))  # per decoded category: NLL sum, hits
+    for rows, state in _passes(bundle, rasters, labels):
         _add(sums, state)
-    return _means(sums, rasters.shape[0])
+        if hc_map is not None:
+            (head,) = state.heads.values()
+            decoded += hc_scores(hc_map, head.logits.data.reshape(state.batch_size, -1), truth[rows])
+    return _means(dict(zip(names, decoded.T)) | sums, rasters.shape[0])
 
 
 def train(
@@ -506,74 +518,27 @@ def train(
 
 
 def evaluate(
-    bundle: ModelBundle, entries: list[ManifestEntry], manifest_categories=None
+    bundle: ModelBundle, entries: list[ManifestEntry], manifest_categories=None, hc_map: HcLabelMap | None = None
 ) -> dict[str, tuple[float, float]]:
-    """Per-category (loss, accuracy) without touching any parameter."""
-    full_cats = _manifest_view(bundle, entries, manifest_categories)
-    loss, acc = _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories))
-    return {c: (loss[c], acc[c]) for c in loss}
+    """Per-category (loss, accuracy) without touching any parameter.
 
-
-@dataclass(frozen=True)
-class HcEval:
-    """Combined-label metrics plus the per-category view recovered by decoding."""
-
-    combined_loss: float
-    combined_accuracy: float
-    per_category: dict[str, tuple[float, float]]
-
-
-def evaluate_hc(
-    bundle: ModelBundle,
-    entries: list[ManifestEntry],
-    hc_map: HcLabelMap,
-    categories,
-) -> HcEval:
-    """Evaluates a hard-coded-label model against the original multi-label entries.
-
-    Per-category accuracy compares the decoded argmax combination componentwise;
-    per-category loss is the negative log of the marginal probability mass the
-    model puts on the true class within that category, taken by log-sum-exp over
-    the logits so that it stays finite where the softmax underflows to zero.
-    The map must be the model's: its combinations, in order, are the class
-    names the model was trained and saved with.
+    With `hc_map`, the bundle is a hard-coded-label model over the
+    combinations of `manifest_categories` (which must then be given), and
+    the map must be its own: its combinations, in order, are the class names
+    the model was trained and saved with. The result then holds the merged
+    category's scores and, per manifest category, those of the decoded
+    predictions (`surgery.hc_scores`).
     """
-    if hc_categories(categories, hc_map) != bundle.spec.categories:
-        raise TrainError("HC map does not match the model: its combinations are not the model's classes, in order")
-    if not entries:
-        raise TrainError("dataset is empty")
-    hc_ids = np.array([e.labels[0] for e in convert_manifest_hc(entries, hc_map)], dtype=np.int64)
-    rasters = load_images(entries)
-    cat_name = bundle.spec.categories.names[0]
-    n = rasters.shape[0]
-
-    sums = {cat_name: [0.0, 0.0]}
-    cat_hits = np.zeros(categories.n)
-    cat_nll = np.zeros(categories.n)
-    combos = np.array(hc_map.combos, dtype=np.int64)  # (n_combos, n_cats)
-    true_labels = np.array([e.labels for e in entries], dtype=np.int64)
-
-    for rows, state in _passes(bundle, rasters, {cat_name: hc_ids}):
-        _add(sums, state)
-        z = state.heads[cat_name].logits.data.reshape(state.batch_size, -1)
-        truth = true_labels[rows]
-        decoded = combos[z.argmax(axis=1)]  # (batch, n_cats)
-        cat_hits += (decoded == truth).sum(axis=0)
-        shifted = z - z.max(axis=1, keepdims=True)
-        log_total = np.log(np.exp(shifted).sum(axis=1))
-        for k in range(categories.n):
-            # log of the marginal probability mass on the true class within category k
-            sel = combos[None, :, k] == truth[:, k][:, None]
-            masked = np.where(sel, shifted, -np.inf)
-            top = masked.max(axis=1, keepdims=True)
-            log_mass = top[:, 0] + np.log(np.exp(masked - top).sum(axis=1))
-            cat_nll[k] += (log_total - log_mass).sum()
-
-    per_category = {
-        cat: (cat_nll[k] / n, cat_hits[k] / n) for k, cat in enumerate(categories.names)
-    }
-    loss, acc = _means(sums, n)
-    return HcEval(loss[cat_name], acc[cat_name], per_category)
+    hc = None
+    if hc_map is not None:
+        if hc_categories(manifest_categories, hc_map) != bundle.spec.categories:
+            raise TrainError("HC map does not match the model: its combinations are not the model's classes, in order")
+        converted = convert_manifest_hc(entries, hc_map)  # an unobserved combination names its image
+        hc = (hc_map, np.array([e.labels for e in entries], dtype=np.int64), manifest_categories.names)
+        entries, manifest_categories = converted, None
+    full_cats = _manifest_view(bundle, entries, manifest_categories)
+    loss, acc = _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories), hc)
+    return {c: (loss[c], acc[c]) for c in loss}
 
 
 def predict_ids(bundle: ModelBundle, images: Tensor) -> tuple[np.ndarray, ...]:

@@ -194,6 +194,16 @@ class TestGenData:
             b = open(os.path.join(str(other), name), "rb").read()
             assert a == b, name
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_refused(self, tmp_path, capsys, noise):
+        code = main(["gen-data", "--out", str(tmp_path / "data"), "--image-size", "18", "--samples", "1",
+                     "--noise", noise])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "noise_std" in err
+        assert not (tmp_path / "data" / "manifest.txt").exists()
+
 
 class TestBuild:
     def test_variant_artifacts(self, pipeline):
@@ -296,6 +306,25 @@ class TestEval:
         assert err.startswith("error:")
         assert "HC map does not match the model" in err
         assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("hc", [False, True], ids=["heads", "hc-map"])
+    def test_category_scored_by_two_models_is_refused(self, pipeline, tmp_path, capsys, hc):
+        if hc:
+            first = second = os.path.join(pipeline["hard_coded"], "model.mhf")
+            extra = ["--hc-map", os.path.join(pipeline["hard_coded"], "hc_map.txt")]
+        else:
+            first = os.path.join(pipeline["proposed"], "model.mhf")
+            second = os.path.join(pipeline["two_model"], "model_shape.mhf")
+            extra = []
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["eval", "--model", first, "--model", second, "--categories", pipeline["cats"],
+                     "--manifest", pipeline["manifest"], "--out", str(out / "eval.json")] + extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: category 'shape' is scored by both")
+        assert first in err and second in err
+        assert list(out.iterdir()) == []
 
     def test_two_model_head_metrics_equal_proposed(self, pipeline):
         # identical split, zero head init, and a frozen trunk make the

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -243,3 +244,14 @@ class TestCorruption:
         p.write_bytes(bytes(blob))
         with pytest.raises(ModelFileError, match=f"layer {layer} holds non-finite weights or bias"):
             load_model(str(p))
+
+    def test_signalling_nan_is_refused_without_a_numpy_warning(self, tmp_path):
+        p = self.saved(tmp_path)
+        blob = bytearray(p.read_bytes())
+        at = header_bytes(small_bundle().spec)
+        blob[at : at + 4] = struct.pack("<I", 0x7FA00000)  # float32 signalling NaN: the first weight of c1
+        p.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelFileError, match="layer c1 holds non-finite weights or bias"):
+                load_model(str(p))

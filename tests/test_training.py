@@ -50,7 +50,6 @@ from mhforge.training import (
     backward_multi,
     backward_plan,
     evaluate,
-    evaluate_hc,
     forward_all,
     loss_head_grads,
     predict_ids,
@@ -851,7 +850,7 @@ def hc_pixel_model(entries, seed):
 
 
 def assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, entries, result):
-    """evaluate_hc's result against one whole-set forward pass, decoded and marginalised by hand."""
+    """evaluate's result with an HC map against one whole-set forward pass, decoded and marginalised by hand."""
     images = load_images(entries)
     state = forward_all(bundle, images)
     head_name = bundle.spec.categories.names[0]
@@ -866,8 +865,8 @@ def assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, entries, resul
 
     want_loss = float(np.mean(-np.log(probs[np.arange(len(true_ids)), true_ids])))
     want_acc = float(np.mean(pred_ids == true_ids))
-    assert result.combined_loss == pytest.approx(want_loss, abs=1e-10)
-    assert result.combined_accuracy == pytest.approx(want_acc, abs=1e-10)
+    assert result[head_name][0] == pytest.approx(want_loss, abs=1e-10)
+    assert result[head_name][1] == pytest.approx(want_acc, abs=1e-10)
 
     decoded = combos[pred_ids]
     for k, cat in enumerate(PIXEL_CATS.names):
@@ -876,14 +875,14 @@ def assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, entries, resul
             [probs[i, combos[:, k] == true[i, k]].sum() for i in range(len(true))]
         )
         want_cat_loss = float(np.mean(-np.log(mass)))
-        assert result.per_category[cat][1] == pytest.approx(want_cat_acc, abs=1e-10)
-        assert result.per_category[cat][0] == pytest.approx(want_cat_loss, abs=1e-10)
+        assert result[cat][1] == pytest.approx(want_cat_acc, abs=1e-10)
+        assert result[cat][0] == pytest.approx(want_cat_loss, abs=1e-10)
 
 
 class TestEvaluateHc:
     def test_matches_manual_decode_and_marginals(self, pixel_dataset):
         bundle, hc_map = hc_pixel_model(pixel_dataset, seed=9)
-        result = evaluate_hc(bundle, pixel_dataset, hc_map, PIXEL_CATS)
+        result = evaluate(bundle, pixel_dataset, PIXEL_CATS, hc_map=hc_map)
         assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, pixel_dataset, result)
 
     def test_confident_wrong_prediction_has_finite_category_loss(self, pixel_dataset):
@@ -898,7 +897,7 @@ class TestEvaluateHc:
         bundle.params[head.name].bias[0] = 1000.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = evaluate_hc(bundle, pixel_dataset, hc_map, PIXEL_CATS)
+            result = evaluate(bundle, pixel_dataset, PIXEL_CATS, hc_map=hc_map)
         for k, cat in enumerate(PIXEL_CATS.names):
             winner = hc_map.combos[0][k]
             # -log(sum of e^0 over the combinations holding the true class) + log(e^1000 + ...)
@@ -907,8 +906,8 @@ class TestEvaluateHc:
                 for e in pixel_dataset
             ]
             assert any(want)
-            assert result.per_category[cat][0] == pytest.approx(sum(want) / len(want), rel=1e-12)
-            assert result.per_category[cat][1] == pytest.approx(
+            assert result[cat][0] == pytest.approx(sum(want) / len(want), rel=1e-12)
+            assert result[cat][1] == pytest.approx(
                 np.mean([e.labels[k] == winner for e in pixel_dataset]), abs=1e-12
             )
 
@@ -917,9 +916,9 @@ class TestEvaluateHc:
         observed = [e.labels for e in pixel_dataset]
         spec, hc_map = build_hard_coded(backbone, PIXEL_CATS, observed, "feat")
         bundle = new_bundle(spec, seed=31)
-        result = evaluate_hc(bundle, pixel_dataset, hc_map, PIXEL_CATS)
+        result = evaluate(bundle, pixel_dataset, PIXEL_CATS, hc_map=hc_map)
         for cat in PIXEL_CATS.names:
-            assert result.per_category[cat][1] >= result.combined_accuracy
+            assert result[cat][1] >= result[spec.categories.names[0]][1]
 
     def test_empty_dataset_rejected(self, pixel_dataset):
         backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
@@ -927,7 +926,17 @@ class TestEvaluateHc:
             backbone, PIXEL_CATS, [e.labels for e in pixel_dataset], "feat"
         )
         with pytest.raises(TrainError, match="dataset is empty"):
-            evaluate_hc(new_bundle(spec, seed=0), [], hc_map, PIXEL_CATS)
+            evaluate(new_bundle(spec, seed=0), [], PIXEL_CATS, hc_map=hc_map)
+
+    def test_one_category_map_keeps_the_merged_heads_scores(self, pixel_dataset):
+        # with one category, the merged category has that category's name
+        cats = PIXEL_CATS.subset(["row"])
+        entries = [ManifestEntry(e.image_path, e.labels[:1]) for e in pixel_dataset]
+        backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
+        spec, hc_map = build_hard_coded(backbone, cats, [e.labels for e in entries], "feat")
+        bundle = with_random_heads(new_bundle(spec, seed=0), seed=2)
+        result = evaluate(bundle, entries, cats, hc_map=hc_map)
+        assert result == evaluate(bundle, convert_manifest_hc(entries, hc_map))
 
     @pytest.mark.parametrize("change", ["renumbered", "extended", "truncated"])
     def test_map_that_is_not_the_models_is_refused(self, pixel_dataset, change):
@@ -939,9 +948,9 @@ class TestEvaluateHc:
             "truncated": combos[:-1],
         }[change]
         with pytest.raises(TrainError, match="HC map does not match the model"):
-            evaluate_hc(bundle, pixel_dataset, HcLabelMap(other), PIXEL_CATS)
+            evaluate(bundle, pixel_dataset, PIXEL_CATS, hc_map=HcLabelMap(other))
 
-    # `train --hc-map` converts its manifest with convert_manifest_hc; `eval --hc-map` runs evaluate_hc
+    # `train --hc-map` converts its manifest with convert_manifest_hc; `eval --hc-map` runs evaluate with the map
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_unobserved_combination_names_the_image(self, tmp_path, command):
         entries = []
@@ -955,7 +964,7 @@ class TestEvaluateHc:
             if command == "train":
                 convert_manifest_hc(entries, hc_map)
             else:
-                evaluate_hc(bundle, entries, hc_map, PIXEL_CATS)
+                evaluate(bundle, entries, PIXEL_CATS, hc_map=hc_map)
 
 
 def with_random_heads(bundle, seed):
@@ -999,7 +1008,7 @@ class TestChunkBoundaries:
 
     def test_evaluate_hc_matches_manual_decode_and_marginals(self, pixel_dataset, passes):
         bundle, hc_map = hc_pixel_model(pixel_dataset, seed=9)
-        result = evaluate_hc(with_random_heads(bundle, seed=5), pixel_dataset, hc_map, PIXEL_CATS)
+        result = evaluate(with_random_heads(bundle, seed=5), pixel_dataset, PIXEL_CATS, hc_map=hc_map)
         assert passes == [(5, True)] * 4 + [(4, True)]
         assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, pixel_dataset, result)
 
