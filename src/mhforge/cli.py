@@ -4,6 +4,7 @@ Every command that writes files also writes a run manifest (run_<command>.json)
 recording the arguments, the seed, and the artifact paths, so a run directory
 is self-describing. MHFORGE_THREADS (default 1) caps BLAS thread pools; it
 must be set before numpy loads, which is why it is applied at import time.
+A value that is not a positive integer caps nothing, and `main` refuses it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import os
 
 _DEFAULT_THREADS = os.environ.get("MHFORGE_THREADS", "1")
-if _DEFAULT_THREADS.isdigit() and int(_DEFAULT_THREADS) >= 1:
+_THREADS_VALID = _DEFAULT_THREADS.isascii() and _DEFAULT_THREADS.isdigit() and int(_DEFAULT_THREADS) >= 1
+if _THREADS_VALID:
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
@@ -406,6 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not _THREADS_VALID:
+        print(f"error: MHFORGE_THREADS must be a positive integer, got {_DEFAULT_THREADS!r}", file=sys.stderr)
+        return 1
     if args.command == "build" and args.variant == "hc" and not args.manifest:
         parser.error("--variant hc requires --manifest (observed combinations come from data)")
     try:

@@ -147,10 +147,10 @@ def convert_manifest_hc(entries: list[ManifestEntry], hc_map: HcLabelMap) -> lis
 
 
 def hc_scores(hc_map: HcLabelMap, logits: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per category, the NLL sum and the hits of one pass's merged-label predictions, decoded through the map.
+    """Per category, the NLL sum and the hits of a set of merged-label predictions, decoded through the map.
 
-    `logits` are the merged head's (batch, combinations) outputs and `truth`
-    the (batch, categories) true label tuples. A hit is a decoded argmax
+    `logits` are the merged head's (images, combinations) outputs and `truth`
+    the (images, categories) true label tuples. A hit is a decoded argmax
     combination that holds the true class; the NLL is the negative log of
     the marginal probability mass on the true class within the category,
     taken by log-sum-exp over the logits so that it stays finite where the

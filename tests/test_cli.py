@@ -501,3 +501,19 @@ class TestThreadCap:
         env["OMP_NUM_THREADS"] = "7"
         env["MHFORGE_THREADS"] = "2"
         assert self.omp_threads_after_import(env) == "7"
+
+    # the variable is read when the cli is imported, so each value needs a fresh interpreter
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2x", ""])
+    def test_value_that_is_not_a_positive_integer_is_refused(self, tmp_path, value):
+        src = os.path.dirname(os.path.dirname(mhforge.__file__))
+        env = dict(os.environ, MHFORGE_THREADS=value)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "data"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from mhforge.cli import main; sys.exit(main(sys.argv[1:]))",
+             "gen-data", "--out", str(out), "--samples", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 1
+        assert run.stderr == f"error: MHFORGE_THREADS must be a positive integer, got {value!r}\n"
+        assert not out.exists()

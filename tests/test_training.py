@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1022,6 +1023,60 @@ class TestChunkBoundaries:
         metrics = evaluate(bundle, val_set)
         for cat in PIXEL_CATS.names:
             assert metrics[cat] == (log.records[-1].val_loss[cat], log.records[-1].val_acc[cat])
+
+
+class TestPassSize:
+    """Evaluation scores each category once over the whole set, so its result does not depend on EVAL_CHUNK."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("synthetic"))
+        entries, cats = generate_synthetic(SyntheticConfig(samples_per_combo=4, seed=2), root)
+        return with_base(entries, root), cats  # 64 images of 34x34
+
+    @staticmethod
+    def proposed(cats, seed):
+        return with_random_heads(new_bundle(attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), cats, "g"), seed=0), seed)
+
+    def test_evaluate_is_bit_identical_at_every_pass_size(self, synthetic, monkeypatch):
+        entries, cats = synthetic
+        entries = entries[3:]  # 61 images: every pass size below 64 leaves a short last pass
+        bundle = self.proposed(cats, seed=1)
+        hc_spec, hc_map = build_hard_coded(parse_netspec(ACCEPTANCE_BACKBONE), cats, [e.labels for e in entries], "g")
+        hc_bundle = with_random_heads(new_bundle(hc_spec, seed=0), seed=2)
+        results = {}
+        for chunk in (4, 8, 16, 64):
+            monkeypatch.setattr(training_mod, "EVAL_CHUNK", chunk)
+            results[chunk] = (evaluate(bundle, entries), evaluate(hc_bundle, entries, cats, hc_map=hc_map))
+        for chunk, result in results.items():
+            # holds only while each image's logits are bitwise the same at every pass size, which a BLAS
+            # build whose GEMM rows depend on the number of rows would break
+            assert result == results[8], f"EVAL_CHUNK {chunk} scores differ from EVAL_CHUNK 8"
+        labels = {c: np.array([e.labels[k] for e in entries]) for k, c in enumerate(cats.names)}
+        whole = forward_all(bundle, load_images(entries), labels)
+        assert results[8][0] == {c: (whole.heads[c].loss, whole.heads[c].accuracy) for c in cats.names}
+
+    def test_validation_equals_evaluate_of_the_validation_side_at_any_pass_size(self, synthetic, monkeypatch):
+        entries, cats = synthetic
+        config = TrainConfig(epochs=1, learning_rate=0.3, seed=0)
+        bundle, log = train(self.proposed(cats, seed=3), entries, config)
+        record = log.records[-1]
+        _, val_set = split_entries(entries, config.split_fraction, config.seed)
+        for chunk in (4, 64):
+            monkeypatch.setattr(training_mod, "EVAL_CHUNK", chunk)
+            assert evaluate(bundle, val_set) == {c: (record.val_loss[c], record.val_acc[c]) for c in cats.names}
+
+    def test_evaluate_working_set_stays_small(self, synthetic):
+        entries, cats = synthetic
+        bundle = self.proposed(cats, seed=4)
+        evaluate(bundle, entries)  # the conv gather indices are cached per geometry on first use
+        tracemalloc.start()
+        try:
+            evaluate(bundle, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000, f"one evaluate of 64 images peaked at {peak} traced bytes"
 
 
 class TestRasterPasses:
