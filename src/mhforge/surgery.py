@@ -190,6 +190,8 @@ def parse_hc_map(text: str) -> HcLabelMap:
             combo = tuple(int(tok) for tok in rest.strip().split(","))
         except ValueError:
             raise SurgeryError(f"HC map line {lineno}: non-integer label in {rest.strip()!r}") from None
+        if combos and len(combo) != len(combos[0]):
+            raise SurgeryError(f"HC map line {lineno}: {len(combo)} labels, but the first line has {len(combos[0])}")
         combos.append(combo)
     if not combos:
         raise SurgeryError("HC map file holds no combinations")

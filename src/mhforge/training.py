@@ -1,5 +1,11 @@
 """Multi-loss training: one shared forward traversal, per-head losses, accumulated gradients.
 
+A forward pass (`forward_all`) computes every head's logits and nothing
+else. Every head is scored after the pass, in one function, `score_heads`:
+its mean loss, its accuracy and its loss-weighted logit gradient, the weight
+taken from the spec's `loss` line for that head. Training batches,
+validation and `evaluate` all score through it.
+
 Gradients for all heads are accumulated in a single reverse sweep, which is
 elementwise equal to running one backward pass per loss and summing. Frozen
 parameters never receive gradients, and the sweep stops below the deepest
@@ -16,17 +22,16 @@ after its last reader.
 
 Every forward pass over a labelled image set goes through one loop,
 `_passes`: training batches (the epoch order cut into `batch_size` index
-arrays, under the plan, each scored against its labels) and validation and
-`evaluate` (one NO_BACKWARD pass per EVAL_CHUNK images, without labels).
-On training batches, `_add` sums every head's batch-weighted loss and
-accuracy. Validation and `evaluate` keep each pass's head logits and score
-every head once over the whole set; an `evaluate` given an HC map also
-decodes the merged head's logits of the whole set into per-category scores
-(`surgery.hc_scores`). The images and label columns of
-both split sides and of `evaluate` come from one step, `_arrays`, which picks
-each model category's column of the manifest's labels. Those image sets are
-held as their 8-bit rasters; each pass scales its own rows to float64 pixels
-(`dataset.scale`).
+arrays, under the plan) and validation and `evaluate` (one NO_BACKWARD pass
+per EVAL_CHUNK images). `train` scores each batch against its rows' labels,
+and `_add` sums every head's batch-weighted loss and accuracy. Validation
+and `evaluate` keep each pass's head logits and score every head once over
+the whole set; an `evaluate` given an HC map also decodes the merged head's
+logits of the whole set into per-category scores (`surgery.hc_scores`). The
+images and label columns of both split sides and of `evaluate` come from one
+step, `_arrays`, which picks each model category's column of the manifest's
+labels. Those image sets are held as their 8-bit rasters; each pass scales
+its own rows to float64 pixels (`dataset.scale`).
 """
 
 from __future__ import annotations
@@ -88,24 +93,12 @@ class TrainConfig:
             raise TrainError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise TrainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise TrainError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise TrainError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 < self.split_fraction < 1:
             raise TrainError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-
-
-@dataclass
-class HeadResult:
-    """Per-category outputs of one forward pass."""
-
-    layer_name: str
-    logits: Tensor
-    loss_weight: float
-    loss: float | None = None
-    accuracy: float | None = None
-    grad_logits: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -139,11 +132,10 @@ class ForwardState:
     activations: dict[str, Tensor]
     pool_maps: dict[str, PoolIndexMap]
     patches: dict[str, np.ndarray]
-    heads: dict[str, HeadResult]
-    batch_size: int
+    heads: dict[str, Tensor]  # category -> its head's logits
 
 
-def _conv_forward(bundle, state, lay, x, labels):
+def _conv_forward(bundle, state, lay, x):
     params = bundle.params[lay.name]
     if lay.name not in state.plan.keeps_patches:
         return conv2d_forward(x, params, lay.stride, lay.pad)
@@ -151,43 +143,33 @@ def _conv_forward(bundle, state, lay, x, labels):
     return out
 
 
-def _fc_forward(bundle, state, lay, x, labels):
+def _fc_forward(bundle, state, lay, x):
     out = fully_connected(x, bundle.params[lay.name])
     if lay.head_tag is not None:
-        state.heads[lay.head_tag] = HeadResult(lay.name, out, 1.0)
+        state.heads[lay.head_tag] = out
     return out
 
 
-def _maxpool_forward(bundle, state, lay, x, labels):
+def _maxpool_forward(bundle, state, lay, x):
     out, pool_map = maxpool2d(x, lay.kernel, lay.stride)
     if lay.name in state.plan.runs:
         state.pool_maps[lay.name] = pool_map
     return out
 
 
-def _loss_forward(bundle, state, lay, x, labels):
-    hr = state.heads[lay.label_slot]
-    hr.loss_weight = lay.loss_weight
-    if labels is not None:
-        if lay.label_slot not in labels:
-            raise TrainError(f"no labels for category {lay.label_slot!r}")
-        hr.loss, _, hr.grad_logits = softmax_cross_entropy(hr.logits, labels[lay.label_slot])
+def _metric_sink(bundle, state, lay, x):
+    return None
 
 
-def _accuracy_forward(bundle, state, lay, x, labels):
-    if labels is not None:
-        hr = state.heads[lay.label_slot]
-        hr.accuracy = top1_accuracy(hr.logits, labels[lay.label_slot])
-
-
-# kind -> (forward, backward). forward(bundle, state, lay, x, labels) returns the output, None for a
-# metric sink; backward(bundle, state, lay, x, grad_out, input_grad) returns the input gradient (None
-# when input_grad is false and the kind has parameters), then the weight and bias gradients of a
-# parameterised kind, None (and not computed) where the layer is frozen. Ops are looked up by name at
+# kind -> (forward, backward). forward(bundle, state, lay, x) returns the output, None for a metric
+# sink (`loss`, `accuracy`: every head is scored after the pass, by score_heads); backward(bundle,
+# state, lay, x, grad_out, input_grad) returns the input gradient (None when input_grad is false and
+# the kind has parameters), then the weight and bias gradients of a parameterised kind, None (and not
+# computed) where the layer is frozen. Ops are looked up by name at
 # each call, never stored, so the function this module's attribute holds at call time (a tracer's
 # wrapper, say) is what runs.
 _LAYER_OPS = {
-    "input": (lambda bundle, state, lay, x, labels: x, None),
+    "input": (lambda bundle, state, lay, x: x, None),
     "conv": (
         _conv_forward,
         lambda bundle, state, lay, x, g, input_grad: conv2d_backward(
@@ -196,7 +178,7 @@ _LAYER_OPS = {
         ),
     ),
     "relu": (
-        lambda bundle, state, lay, x, labels: relu(x),
+        lambda bundle, state, lay, x: relu(x),
         lambda bundle, state, lay, x, g, input_grad: (relu_backward(x, g),),
     ),
     "maxpool": (
@@ -204,7 +186,7 @@ _LAYER_OPS = {
         lambda bundle, state, lay, x, g, input_grad: (maxpool2d_backward(state.pool_maps[lay.name], g),),
     ),
     "gavgpool": (
-        lambda bundle, state, lay, x, labels: global_avgpool(x),
+        lambda bundle, state, lay, x: global_avgpool(x),
         lambda bundle, state, lay, x, g, input_grad: (global_avgpool_backward(x.shape, g),),
     ),
     "fc": (
@@ -213,8 +195,8 @@ _LAYER_OPS = {
             x, bundle.params[lay.name], g, input_grad=input_grad, weight_grad=lay.name in state.plan.trains
         ),
     ),
-    "loss": (_loss_forward, None),
-    "accuracy": (_accuracy_forward, None),
+    "loss": (_metric_sink, None),
+    "accuracy": (_metric_sink, None),
 }
 
 
@@ -239,27 +221,22 @@ def backward_plan(bundle: ModelBundle) -> BackwardPlan:
     return BackwardPlan(trains, reach, frozenset(runs), keeps_patches, keeps)
 
 
-def forward_all(
-    bundle: ModelBundle,
-    images: Tensor,
-    labels: dict[str, np.ndarray] | None = None,
-    plan: BackwardPlan = NO_BACKWARD,
-) -> ForwardState:
-    """Runs the graph once; with labels, fills per-head loss, accuracy, and logit gradients.
+def forward_all(bundle: ModelBundle, images: Tensor, plan: BackwardPlan = NO_BACKWARD) -> ForwardState:
+    """Runs the graph once and holds each head's logits; scores nothing (see score_heads).
 
     Keeps what `plan`'s backward reads; every other activation is dropped
     after the last layer that reads it. A pass that backward_multi follows
     needs the bundle's `backward_plan`.
     """
     spec = bundle.spec
-    n, c, h, w = images.shape
+    _, c, h, w = images.shape
     if (c, h, w) != spec.input_shape:
         raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    state = ForwardState(plan, {}, {}, {}, {}, n)
+    state = ForwardState(plan, {}, {}, {}, {})
     activations = state.activations
     for lay, done in zip(spec.layers, spec.last_reads):
         x = activations[lay.inputs[0]] if lay.inputs else images
-        out = _LAYER_OPS[lay.kind][0](bundle, state, lay, x, labels)
+        out = _LAYER_OPS[lay.kind][0](bundle, state, lay, x)
         if out is not None:
             activations[lay.name] = out
         for name in done:
@@ -285,11 +262,10 @@ def backward_multi(
     out_grads: dict[str, np.ndarray] = {}
     param_grads: dict[str, tuple[Tensor, np.ndarray]] = {}
 
+    head_layers = {lay.head_tag: lay.name for lay in bundle.spec.heads()}
     for cat, g in head_grads.items():
-        hr = state.heads[cat]
-        n, f = state.batch_size, hr.logits.shape[1]
-        g = np.asarray(g, dtype=np.float64).reshape(n, f, 1, 1)
-        name = hr.layer_name
+        name = head_layers[cat]
+        g = np.asarray(g, dtype=np.float64).reshape(state.heads[cat].shape)
         out_grads[name] = out_grads[name] + g if name in out_grads else g
 
     for lay in reversed(bundle.spec.layers):
@@ -306,13 +282,22 @@ def backward_multi(
     return param_grads
 
 
-def loss_head_grads(state: ForwardState) -> dict[str, np.ndarray]:
-    """Loss-weighted logit gradients for every head whose loss was computed."""
-    grads = {}
-    for cat, hr in state.heads.items():
-        if hr.grad_logits is not None:
-            grads[cat] = hr.loss_weight * hr.grad_logits
-    return grads
+def score_heads(
+    bundle: ModelBundle, heads: dict[str, Tensor], labels: dict[str, np.ndarray]
+) -> dict[str, tuple[float, float, np.ndarray]]:
+    """Per category: (mean loss, accuracy, loss-weighted logit gradient) of its head's logits against its labels.
+
+    The weight is that of the spec's `loss` line for the head. The one place
+    any head is scored: training batches, validation and `evaluate`.
+    """
+    scores = {}
+    for lay in bundle.spec.losses():
+        cat = lay.label_slot
+        if cat not in labels:
+            raise TrainError(f"no labels for category {cat!r}")
+        loss, _, grad = softmax_cross_entropy(heads[cat], labels[cat])
+        scores[cat] = (loss, top1_accuracy(heads[cat], labels[cat]), lay.loss_weight * grad)
+    return scores
 
 
 def sgd_step(
@@ -430,27 +415,25 @@ def _check_finite(losses: dict[str, float], where: str) -> None:
             raise TrainError(f"training diverged in {where}: head {c} loss is {loss}")
 
 
-def _passes(bundle: ModelBundle, rasters: np.ndarray, labels=None, batches=None, plan=NO_BACKWARD):
+def _passes(bundle: ModelBundle, rasters: np.ndarray, batches=None, plan=NO_BACKWARD):
     """Yields (rows, state): one forward pass under `plan` per `rows` of `batches`, over its scaled rasters.
 
-    Training hands it its labels, so each pass also scores its heads;
-    evaluation passes run without labels. `batches` defaults to
-    EVAL_CHUNK-image slices in ascending order. Each pass runs only when
-    asked for, so it sees the parameters as the step before left them.
+    `batches` defaults to EVAL_CHUNK-image slices in ascending order. Each
+    pass runs only when asked for, so it sees the parameters as the step
+    before left them.
     """
     if batches is None:
         batches = [slice(start, start + EVAL_CHUNK) for start in range(0, rasters.shape[0], EVAL_CHUNK)]
     for rows in batches:
-        rows_labels = None if labels is None else {c: lab[rows] for c, lab in labels.items()}
-        yield rows, forward_all(bundle, Tensor(scale(rasters[rows])), rows_labels, plan)
+        yield rows, forward_all(bundle, Tensor(scale(rasters[rows])), plan)
 
 
-def _add(sums: dict[str, list[float]], state: ForwardState) -> None:
-    """Adds each head's loss and accuracy on one training batch, weighted by its size, to sums[head] = [loss, hits]."""
+def _add(sums: dict[str, list[float]], scores, n: int) -> None:
+    """Adds each head's loss and accuracy on one training batch of n images, times n, to sums[head] = [loss, hits]."""
     for c, total in sums.items():
-        hr = state.heads[c]
-        total[0] += hr.loss * state.batch_size
-        total[1] += hr.accuracy * state.batch_size
+        loss, acc, _ = scores[c]
+        total[0] += loss * n
+        total[1] += acc * n
 
 
 def _means(sums: dict[str, list[float]], n: int) -> tuple[dict[str, float], dict[str, float]]:
@@ -471,16 +454,16 @@ def _evaluate_arrays(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str,
     """
     n = rasters.shape[0]
     states = [state for _, state in _passes(bundle, rasters)]  # a NO_BACKWARD state keeps only its heads
-    logits = {c: Tensor(np.concatenate([s.heads[c].logits.data for s in states])) for c in bundle.spec.categories.names}
+    logits = {c: Tensor(np.concatenate([s.heads[c].data for s in states])) for c in bundle.spec.categories.names}
     loss, acc = {}, {}
     hc_map, truth, names = hc or (None, None, ())
     if hc_map is not None:
         (merged,) = logits.values()
         nll, hits = hc_scores(hc_map, merged.data.reshape(n, -1), truth)
         loss, acc = dict(zip(names, nll / n)), dict(zip(names, hits / n))
-    for c, z in logits.items():
-        loss[c] = softmax_cross_entropy(z, labels[c])[0]
-        acc[c] = top1_accuracy(z, labels[c])
+    scores = score_heads(bundle, logits, labels)
+    for c in logits:
+        loss[c], acc[c], _ = scores[c]
     return loss, acc
 
 
@@ -520,12 +503,13 @@ def train(
         sums = {c: [0.0, 0.0] for c in cats.names}
         # a diverging step overflows silently: the finite-loss check is its one report
         with _quiet_fp():
-            for batch, (_, state) in enumerate(_passes(bundle, train_images, train_labels, batches, plan), start=1):
+            for batch, (rows, state) in enumerate(_passes(bundle, train_images, batches, plan), start=1):
                 where = f"epoch {epoch}, batch {batch} of {len(batches)}"
-                _check_finite({c: state.heads[c].loss for c in cats.names}, where)
-                grads = backward_multi(bundle, state, loss_head_grads(state))
+                scores = score_heads(bundle, state.heads, {c: lab[rows] for c, lab in train_labels.items()})
+                _check_finite({c: scores[c][0] for c in cats.names}, where)
+                grads = backward_multi(bundle, state, {c: grad for c, (_, _, grad) in scores.items()})
                 sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
-                _add(sums, state)
+                _add(sums, scores, len(rows))
             if val is not None:
                 val_loss, val_acc = _evaluate_arrays(bundle, *val)
                 _check_finite(val_loss, f"epoch {epoch}, validation")
@@ -564,4 +548,4 @@ def predict_ids(bundle: ModelBundle, images: Tensor) -> tuple[np.ndarray, ...]:
     state = forward_all(bundle, images)
     cats = bundle.spec.categories
     names = cats.names if cats is not None else tuple(state.heads)
-    return tuple(state.heads[c].logits.data.reshape(images.shape[0], -1).argmax(axis=1) for c in names)
+    return tuple(state.heads[c].data.reshape(images.shape[0], -1).argmax(axis=1) for c in names)

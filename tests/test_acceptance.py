@@ -31,7 +31,7 @@ from mhforge.training import (
     backward_multi,
     backward_plan,
     forward_all,
-    loss_head_grads,
+    score_heads,
     sgd_step,
     split_entries,
 )
@@ -215,14 +215,19 @@ def grad_fixture():
 
 
 def total_loss(bundle, images, labels):
-    state = forward_all(bundle, images, labels)
-    return sum(hr.loss_weight * hr.loss for hr in state.heads.values())
+    scores = score_heads(bundle, forward_all(bundle, images).heads, labels)
+    return sum(lay.loss_weight * scores[lay.label_slot][0] for lay in bundle.spec.losses())
+
+
+def loss_grads(bundle, state, labels):
+    """backward_multi's seeds: each head's loss-weighted logit gradient."""
+    return {c: grad for c, (_, _, grad) in score_heads(bundle, state.heads, labels).items()}
 
 
 def test_backward_passes_match_central_finite_differences():
     bundle, images, labels = grad_fixture()
-    state = forward_all(bundle, images, labels, backward_plan(bundle))
-    grads = backward_multi(bundle, state, loss_head_grads(state))
+    state = forward_all(bundle, images, backward_plan(bundle))
+    grads = backward_multi(bundle, state, loss_grads(bundle, state, labels))
     worst = 0.0
     for name in ("c1", "head_a", "head_b"):
         gw, gb = grads[name]
@@ -238,8 +243,8 @@ def test_backward_passes_match_central_finite_differences():
 
 def test_joint_gradients_sum_exactly_and_frozen_weights_never_move():
     bundle, images, labels = grad_fixture()
-    state = forward_all(bundle, images, labels, backward_plan(bundle))
-    head_grads = loss_head_grads(state)
+    state = forward_all(bundle, images, backward_plan(bundle))
+    head_grads = loss_grads(bundle, state, labels)
     joint = backward_multi(bundle, state, head_grads)
     parts = [backward_multi(bundle, state, {cat: head_grads[cat]}) for cat in head_grads]
     for name, (gw, gb) in joint.items():
@@ -261,8 +266,8 @@ def test_joint_gradients_sum_exactly_and_frozen_weights_never_move():
         imgs = Tensor(rng.uniform(0.1, 0.9, (4, 1, 6, 6)))
         lbls = {"a": rng.integers(0, 3, 4).astype(np.int64),
                 "b": rng.integers(0, 2, 4).astype(np.int64)}
-        st = forward_all(fb, imgs, lbls, backward_plan(fb))
-        sgd_step(fb.params, backward_multi(fb, st, loss_head_grads(st)), 0.1, 0.9, velocity)
+        st = forward_all(fb, imgs, backward_plan(fb))
+        sgd_step(fb.params, backward_multi(fb, st, loss_grads(fb, st, lbls)), 0.1, 0.9, velocity)
     assert fb.params["c1"].weights.data.tobytes() == before_w
     assert fb.params["c1"].bias.tobytes() == before_b
     assert not np.array_equal(fb.params["head_a"].weights.data, head_before)

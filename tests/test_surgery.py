@@ -194,6 +194,8 @@ class TestHcMap:
             parse_hc_map("1: 0,0\n")
         with pytest.raises(SurgeryError, match="no combinations"):
             parse_hc_map("\n")
+        with pytest.raises(SurgeryError, match="line 3: 1 labels, but the first line has 2"):
+            parse_hc_map("0: 0,0\n1: 1,1\n2: 3\n")
 
     def test_hc_categories_naming(self):
         cats = hc_categories(cats_ab(), self.the_map())

@@ -42,7 +42,7 @@ from mhforge.surgery import (
     convert_manifest_hc,
     hc_encode,
 )
-from mhforge.tensor_ops import LayerParams, Tensor
+from mhforge.tensor_ops import LayerParams, Tensor, softmax_cross_entropy
 from mhforge.training import (
     EpochRecord,
     TrainConfig,
@@ -52,8 +52,8 @@ from mhforge.training import (
     backward_plan,
     evaluate,
     forward_all,
-    loss_head_grads,
     predict_ids,
+    score_heads,
     sgd_step,
     split_entries,
     train,
@@ -79,6 +79,17 @@ CATS = LabelCategories(("kind", "spot"), (("a", "b", "c"), ("x", "y")))
 def make_bundle(seed=7):
     spec = bind_categories(parse_netspec(TWO_HEAD), CATS)
     return new_bundle(spec, seed=seed)
+
+
+def loss_grads(bundle, state, labels):
+    """The loss-weighted logit gradients score_heads gives the heads of one pass: backward_multi's seeds."""
+    return {c: grad for c, (_, _, grad) in score_heads(bundle, state.heads, labels).items()}
+
+
+def total_loss(bundle, images, labels):
+    """Every head's loss weighted by its loss line: the objective the seeds are the gradient of."""
+    scores = score_heads(bundle, forward_all(bundle, images).heads, labels)
+    return sum(lay.loss_weight * scores[lay.label_slot][0] for lay in bundle.spec.losses())
 
 
 def make_batch(seed=11, n=3):
@@ -109,8 +120,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
 
     def test_learning_rate_bound(self):
-        with pytest.raises(TrainError, match="learning_rate must be positive"):
-            TrainConfig(learning_rate=0.0)
+        for bad in (0.0, float("inf")):
+            with pytest.raises(TrainError, match="learning_rate must be positive"):
+                TrainConfig(learning_rate=bad)
 
     def test_momentum_bounds(self):
         with pytest.raises(TrainError, match="momentum must be in"):
@@ -138,49 +150,44 @@ class TestForwardAll:
         # p1's record and c1's patch matrix; the head outputs live on in the heads' logits
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
+        state = forward_all(bundle, images, backward_plan(bundle))
         assert set(state.activations) == {"img", "c1", "r1", "p1", "g"}
         assert set(state.pool_maps) == {"p1"}
         assert set(state.patches) == {"c1"}
         assert set(state.heads) == {"kind", "spot"}
-        assert state.batch_size == 3
+        assert all(logits.shape[0] == 3 for logits in state.heads.values())
         # frozen backbone: the heads' backward reads g alone
         backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
         frozen = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
-        state = forward_all(frozen, images, labels, backward_plan(frozen))
+        state = forward_all(frozen, images, backward_plan(frozen))
         assert set(state.activations) == {"g"}
         assert state.pool_maps == {} and state.patches == {}
         assert set(state.heads) == {"kind", "spot"}
         # a pass no backward follows keeps nothing but the heads
         for b in (bundle, frozen):
-            state = forward_all(b, images, labels)
+            state = forward_all(b, images)
             assert state.activations == {} and state.pool_maps == {} and state.patches == {}
             assert set(state.heads) == {"kind", "spot"}
-
-    def test_without_labels_metrics_stay_empty(self):
-        bundle = make_bundle()
-        images, _ = make_batch()
-        state = forward_all(bundle, images)
-        for hr in state.heads.values():
-            assert hr.loss is None
-            assert hr.accuracy is None
-            assert hr.grad_logits is None
 
     def test_with_labels_metrics_filled(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
-        for cat, hr in state.heads.items():
-            assert hr.loss > 0.0
-            assert 0.0 <= hr.accuracy <= 1.0
-            assert hr.grad_logits.shape == (3, CATS.class_counts[CATS.names.index(cat)])
+        state = forward_all(bundle, images)
+        for cat, (loss, accuracy, grad) in score_heads(bundle, state.heads, labels).items():
+            assert loss > 0.0
+            assert 0.0 <= accuracy <= 1.0
+            assert grad.shape == (3, CATS.class_counts[CATS.names.index(cat)])
 
     def test_loss_weight_taken_from_spec(self):
-        bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
-        assert state.heads["kind"].loss_weight == 1.0
-        assert state.heads["spot"].loss_weight == 0.5
+        for spot_weight in (0.5, 2.0):
+            spec = parse_netspec(TWO_HEAD.replace("weight=0.5", f"weight={spot_weight}"))
+            bundle = new_bundle(bind_categories(spec, CATS), seed=7)
+            heads = forward_all(bundle, images).heads
+            scores = score_heads(bundle, heads, labels)
+            for cat, weight in (("kind", 1.0), ("spot", spot_weight)):
+                unweighted = softmax_cross_entropy(heads[cat], labels[cat])[2]
+                assert scores[cat][2].tobytes() == (weight * unweighted).tobytes()
 
     def test_zero_head_gives_log_class_count_loss(self):
         bundle = make_bundle()
@@ -188,48 +195,45 @@ class TestForwardAll:
             bundle.params[name].weights.data[:] = 0.0
             bundle.params[name].bias[:] = 0.0
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
-        assert abs(state.heads["kind"].loss - math.log(3)) < 1e-12
-        assert abs(state.heads["spot"].loss - math.log(2)) < 1e-12
+        scores = score_heads(bundle, forward_all(bundle, images).heads, labels)
+        assert abs(scores["kind"][0] - math.log(3)) < 1e-12
+        assert abs(scores["spot"][0] - math.log(2)) < 1e-12
 
     def test_wrong_image_shape_rejected(self):
         bundle = make_bundle()
         with pytest.raises(TrainError, match="expects"):
-            forward_all(bundle, Tensor.zeros((2, 1, 5, 5)), None)
+            forward_all(bundle, Tensor.zeros((2, 1, 5, 5)))
 
     def test_missing_label_category_rejected(self):
         bundle = make_bundle()
         images, labels = make_batch()
         del labels["spot"]
+        heads = forward_all(bundle, images).heads
         with pytest.raises(TrainError, match="no labels for category 'spot'"):
-            forward_all(bundle, images, labels)
+            score_heads(bundle, heads, labels)
 
 
 class TestBackwardMulti:
     def test_gradients_match_finite_differences(self):
         bundle = make_bundle(seed=3)
         images, labels = make_batch(seed=5)
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
-        grads = backward_multi(bundle, state, loss_head_grads(state))
+        state = forward_all(bundle, images, backward_plan(bundle))
+        grads = backward_multi(bundle, state, loss_grads(bundle, state, labels))
         assert set(grads) == {"c1", "head_kind", "head_spot"}
-
-        def total():
-            st = forward_all(bundle, images, labels)
-            return sum(h.loss_weight * h.loss for h in st.heads.values())
 
         for name in grads:
             gw, gb = grads[name]
             p = bundle.params[name]
-            num_w = finite_diff(total, p.weights.data)
-            num_b = finite_diff(total, p.bias)
+            num_w = finite_diff(lambda: total_loss(bundle, images, labels), p.weights.data)
+            num_b = finite_diff(lambda: total_loss(bundle, images, labels), p.bias)
             assert rel_err(gw.data, num_w) < 1e-6, name
             assert rel_err(gb, num_b) < 1e-6, name
 
     def test_joint_sweep_equals_sum_of_single_loss_sweeps(self):
         bundle = make_bundle(seed=13)
         images, labels = make_batch(seed=17)
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
-        seeds = loss_head_grads(state)
+        state = forward_all(bundle, images, backward_plan(bundle))
+        seeds = loss_grads(bundle, state, labels)
         joint = backward_multi(bundle, state, seeds)
         only_kind = backward_multi(bundle, state, {"kind": seeds["kind"]})
         only_spot = backward_multi(bundle, state, {"spot": seeds["spot"]})
@@ -245,23 +249,23 @@ class TestBackwardMulti:
     def test_single_head_seed_reaches_shared_layers_only_once(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
-        grads = backward_multi(bundle, state, {"kind": loss_head_grads(state)["kind"]})
+        state = forward_all(bundle, images, backward_plan(bundle))
+        grads = backward_multi(bundle, state, {"kind": loss_grads(bundle, state, labels)["kind"]})
         assert set(grads) == {"c1", "head_kind"}
 
     def test_frozen_backbone_yields_head_gradients_only(self):
         backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
         bundle = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
-        grads = backward_multi(bundle, state, loss_head_grads(state))
+        state = forward_all(bundle, images, backward_plan(bundle))
+        grads = backward_multi(bundle, state, loss_grads(bundle, state, labels))
         assert set(grads) == {"head_kind", "head_spot"}
 
     def test_sweep_stops_below_deepest_unfrozen_layer(self, monkeypatch):
         backbone = parse_netspec("\n".join(TWO_HEAD.splitlines()[:5]) + "\n")
         bundle = new_bundle(attach_heads(backbone, CATS, "g"), seed=2)
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
+        state = forward_all(bundle, images, backward_plan(bundle))
 
         def bomb(*args, **kwargs):
             raise AssertionError("backward touched a layer below every unfrozen parameter")
@@ -271,42 +275,43 @@ class TestBackwardMulti:
         monkeypatch.setattr(training_mod, "conv2d_backward", bomb)
         monkeypatch.setattr(training_mod, "maxpool2d_backward", bomb)
         monkeypatch.setattr(training_mod, "global_avgpool_backward", bomb)
-        grads = backward_multi(bundle, state, loss_head_grads(state))
+        grads = backward_multi(bundle, state, loss_grads(bundle, state, labels))
         assert set(grads) == {"head_kind", "head_spot"}
 
     def test_empty_seed_gradients_give_empty_result(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
+        state = forward_all(bundle, images, backward_plan(bundle))
         assert backward_multi(bundle, state, {}) == {}
 
     def test_a_pass_without_a_plan_cannot_run_backward(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
+        state = forward_all(bundle, images)
         with pytest.raises(TrainError, match="backward_plan"):
-            backward_multi(bundle, state, loss_head_grads(state))
+            backward_multi(bundle, state, loss_grads(bundle, state, labels))
         with pytest.raises(TrainError, match="backward_plan"):
             backward_multi(bundle, state, {})
 
-    def test_loss_head_grads_apply_loss_weights(self):
+    def test_score_heads_seeds_apply_loss_weights(self):
         bundle = make_bundle()
         images, labels = make_batch()
-        state = forward_all(bundle, images, labels)
-        seeds = loss_head_grads(state)
-        assert np.allclose(seeds["kind"], state.heads["kind"].grad_logits)
-        assert np.allclose(seeds["spot"], 0.5 * state.heads["spot"].grad_logits)
+        state = forward_all(bundle, images)
+        seeds = loss_grads(bundle, state, labels)
+        grad_logits = {c: softmax_cross_entropy(state.heads[c], labels[c])[2] for c in labels}
+        assert np.allclose(seeds["kind"], grad_logits["kind"])
+        assert np.allclose(seeds["spot"], 0.5 * grad_logits["spot"])
 
 
-def forward_keeping_everything(bundle, images, labels):
+def forward_keeping_everything(bundle, images):
     """The reference forward pass: keeps every activation and no patch matrix, so backward builds its own."""
     plan = training_mod.backward_plan(bundle)
     every_layer = frozenset(l.name for l in bundle.spec.layers)
     everything = dataclasses.replace(plan, keeps_patches=frozenset(), keeps=every_layer)
-    state = training_mod.ForwardState(everything, {}, {}, {}, {}, images.shape[0])
+    state = training_mod.ForwardState(everything, {}, {}, {}, {})
     for lay in bundle.spec.layers:
         x = state.activations[lay.inputs[0]] if lay.inputs else images
-        out = training_mod._LAYER_OPS[lay.kind][0](bundle, state, lay, x, labels)
+        out = training_mod._LAYER_OPS[lay.kind][0](bundle, state, lay, x)
         if out is not None:
             state.activations[lay.name] = out
     return state
@@ -376,16 +381,17 @@ class TestBackwardPlan:
                         p.frozen = name != lowest
                 where = (case, flags)
                 plan = backward_plan(bundle)
-                state = forward_all(bundle, images, labels, plan)
-                plain = forward_all(bundle, images, labels)
-                ref = forward_keeping_everything(bundle, images, labels)
-                for cat, hr in ref.heads.items():
-                    assert np.float64(state.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (where, cat)
-                    assert np.float64(plain.heads[cat].loss).tobytes() == np.float64(hr.loss).tobytes(), (where, cat)
-                    assert plain.heads[cat].logits.data.tobytes() == hr.logits.data.tobytes(), (where, cat)
+                state = forward_all(bundle, images, plan)
+                plain = forward_all(bundle, images)
+                ref = forward_keeping_everything(bundle, images)
+                kept, dropped = score_heads(bundle, state.heads, labels), score_heads(bundle, plain.heads, labels)
+                for cat, (loss, _, _) in score_heads(bundle, ref.heads, labels).items():
+                    assert np.float64(kept[cat][0]).tobytes() == np.float64(loss).tobytes(), (where, cat)
+                    assert np.float64(dropped[cat][0]).tobytes() == np.float64(loss).tobytes(), (where, cat)
+                    assert plain.heads[cat].data.tobytes() == ref.heads[cat].data.tobytes(), (where, cat)
                 # a pass no backward follows is left holding nothing
                 assert plain.activations == {} and plain.pool_maps == {} and plain.patches == {}, where
-                seeds = loss_head_grads(ref)
+                seeds = loss_grads(bundle, ref, labels)
                 with monkeypatch.context() as m:
                     weight_grads_always(m)
                     want = backward_multi(bundle, ref, seeds)
@@ -416,8 +422,8 @@ class TestBackwardPlan:
         names = {id(p): n for n, p in bundle.params.items()}
         _, labels = make_batch(n=2)
         images = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 1, 34, 34)))
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
-        seeds = loss_head_grads(state)
+        state = forward_all(bundle, images, backward_plan(bundle))
+        seeds = loss_grads(bundle, state, labels)
         with monkeypatch.context() as m:
             weight_grads_always(m)
             want = backward_multi(bundle, state, seeds)
@@ -442,7 +448,7 @@ class TestBackwardPlan:
 
         monkeypatch.setattr(tensor_ops_mod, "_patch_matrix", spy_build)
         monkeypatch.setattr(training_mod, "conv2d_backward", conv_backward_in)
-        state = forward_all(bundle, images, labels, backward_plan(bundle))
+        state = forward_all(bundle, images, backward_plan(bundle))
         got = backward_multi(bundle, state, seeds)
         assert patch_builds == [None, None]  # c1 and c2 forward; c1 multiplies its kept matrix
         assert sorted(calls) == [("c1", True, True), ("c2", False, False), ("head_kind", True, True),
@@ -489,8 +495,8 @@ class TestBackwardPlan:
             for bundle, trained in ((trains_c2, heads | {"c2"}), (heads_only, heads)):
                 patch_builds.clear()
                 backward_calls.clear()
-                state = forward_all(bundle, images, labels, backward_plan(bundle))
-                grads = backward_multi(bundle, state, loss_head_grads(state))
+                state = forward_all(bundle, images, backward_plan(bundle))
+                grads = backward_multi(bundle, state, loss_grads(bundle, state, labels))
                 assert set(grads) == trained
                 assert patch_builds == [False, False]  # c1 and c2 forward, none in backward
                 gx_read = "c2" in trained
@@ -855,7 +861,7 @@ def assert_hc_matches_manual_decode_and_marginals(bundle, hc_map, entries, resul
     images = load_images(entries)
     state = forward_all(bundle, images)
     head_name = bundle.spec.categories.names[0]
-    logits = state.heads[head_name].logits.data.reshape(len(entries), -1)
+    logits = state.heads[head_name].data.reshape(len(entries), -1)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
 
@@ -990,9 +996,9 @@ class TestChunkBoundaries:
         """(batch size, run under NO_BACKWARD) of every forward_all call the training module makes."""
         seen = []
 
-        def spy(bundle, images, labels=None, plan=training_mod.NO_BACKWARD):
+        def spy(bundle, images, plan=training_mod.NO_BACKWARD):
             seen.append((images.shape[0], plan is training_mod.NO_BACKWARD))
-            return forward_all(bundle, images, labels, plan)
+            return forward_all(bundle, images, plan)
 
         monkeypatch.setattr(training_mod, "forward_all", spy)
         return seen
@@ -1000,12 +1006,12 @@ class TestChunkBoundaries:
     def test_evaluate_matches_one_whole_set_pass(self, pixel_dataset, passes):
         bundle = with_random_heads(pixel_bundle(), seed=4)
         labels = {c: np.array([e.labels[k] for e in pixel_dataset]) for k, c in enumerate(PIXEL_CATS.names)}
-        whole = forward_all(bundle, load_images(pixel_dataset), labels)
+        whole = score_heads(bundle, forward_all(bundle, load_images(pixel_dataset)).heads, labels)
         metrics = evaluate(bundle, pixel_dataset)
         assert passes == [(5, True)] * 4 + [(4, True)]
         for cat in PIXEL_CATS.names:
-            assert metrics[cat][0] == pytest.approx(whole.heads[cat].loss, abs=1e-12)
-            assert metrics[cat][1] == pytest.approx(whole.heads[cat].accuracy, abs=1e-12)
+            assert metrics[cat][0] == pytest.approx(whole[cat][0], abs=1e-12)
+            assert metrics[cat][1] == pytest.approx(whole[cat][1], abs=1e-12)
 
     def test_evaluate_hc_matches_manual_decode_and_marginals(self, pixel_dataset, passes):
         bundle, hc_map = hc_pixel_model(pixel_dataset, seed=9)
@@ -1053,8 +1059,8 @@ class TestPassSize:
             # build whose GEMM rows depend on the number of rows would break
             assert result == results[8], f"EVAL_CHUNK {chunk} scores differ from EVAL_CHUNK 8"
         labels = {c: np.array([e.labels[k] for e in entries]) for k, c in enumerate(cats.names)}
-        whole = forward_all(bundle, load_images(entries), labels)
-        assert results[8][0] == {c: (whole.heads[c].loss, whole.heads[c].accuracy) for c in cats.names}
+        whole = score_heads(bundle, forward_all(bundle, load_images(entries)).heads, labels)
+        assert results[8][0] == {c: whole[c][:2] for c in cats.names}
 
     def test_validation_equals_evaluate_of_the_validation_side_at_any_pass_size(self, synthetic, monkeypatch):
         entries, cats = synthetic
@@ -1090,13 +1096,13 @@ class TestRasterPasses:
     @pytest.mark.parametrize("cut", ["training_batches", "eval_chunks"])
     def test_each_pass_input_equals_the_float_stack_rows(self, pixel_dataset, monkeypatch, cut):
         monkeypatch.setattr(training_mod, "EVAL_CHUNK", 5)
-        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, labels, plan: images)
-        rasters, labels = training_mod._arrays(pixel_dataset, PIXEL_CATS, PIXEL_CATS)
+        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, plan: images)
+        rasters, _ = training_mod._arrays(pixel_dataset, PIXEL_CATS, PIXEL_CATS)
         floats = load_images(pixel_dataset).data
         order = epoch_order(len(pixel_dataset), 3)
         # training cuts the epoch order into index arrays; evaluation takes EVAL_CHUNK slices
         batches = [order[start : start + 8] for start in range(0, len(order), 8)] if cut == "training_batches" else None
-        seen = list(training_mod._passes(pixel_bundle(), rasters, labels, batches))
+        seen = list(training_mod._passes(pixel_bundle(), rasters, batches))
         assert len(seen) == {"training_batches": 3, "eval_chunks": 5}[cut]
         for rows, images in seen:
             assert images.data.dtype == np.float64
@@ -1149,7 +1155,7 @@ class TestPredictIds:
         got = predict_ids(bundle, images)
         assert len(got) == 2
         for ids, cat in zip(got, CATS.names):
-            logits = state.heads[cat].logits.data.reshape(4, -1)
+            logits = state.heads[cat].data.reshape(4, -1)
             assert np.array_equal(ids, logits.argmax(axis=1))
 
 
