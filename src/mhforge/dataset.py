@@ -8,6 +8,7 @@ gives a tiny multi-label task a small CNN can master in minutes.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,36 +151,26 @@ def save_pgm(path: str, image: np.ndarray) -> None:
         f.write(pixels.tobytes())
 
 
+# magic; width, height and maxval as unsigned decimals, each after whitespace or
+# '#' comments; then exactly one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def load_pgm(path: str) -> np.ndarray:
     """Reads an 8-bit binary portable graymap's raster as a 2-D uint8 array; `scale` gives its pixels."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
         raise DataError(f"{path}: not a binary portable graymap (missing P5 magic)")
-    # header = magic, width, height, maxval tokens; '#' starts a comment
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: truncated header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise DataError(f"{path}: non-numeric header field") from None
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise DataError(f"{path}: malformed header")
+    w, h, maxval = map(int, header.groups())
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: image is {w}x{h}; width and height must be at least 1")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
-    raster = data[pos : pos + w * h]
+    raster = data[header.end() : header.end() + w * h]
     if len(raster) != w * h:
         raise DataError(f"{path}: expected {w * h} pixel bytes, found {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

@@ -90,7 +90,10 @@ def parse_label_maps(text: str) -> LabelCategories | None:
 
 
 def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
-    """Fresh deterministic parameters for every conv/fc layer of a validated spec."""
+    """Fresh deterministic parameters for every conv/fc layer of a validated spec.
+
+    The parameters carry no frozen flag: which layers train is the spec's.
+    """
     shapes = weight_shapes(spec)
     ss = np.random.SeedSequence(seed & SEED_MASK)
     layer_seeds = ss.generate_state(max(len(shapes), 1), dtype=np.uint64)
@@ -100,9 +103,9 @@ def new_bundle(spec: NetworkSpec, seed: int = 0) -> ModelBundle:
         if lay.head_tag is not None:
             # classifier heads start at zero: uniform initial predictions, and
             # the first update already points along the class feature means
-            params[name] = LayerParams(Tensor.zeros(wshape), np.zeros(wshape[0]), lay.frozen)
+            params[name] = LayerParams(Tensor.zeros(wshape), np.zeros(wshape[0]))
         else:
-            params[name] = init_params(lay.initialiser, wshape, int(layer_seed), lay.frozen)
+            params[name] = init_params(lay.initialiser, wshape, int(layer_seed))
     return ModelBundle(spec, params)
 
 
@@ -189,7 +192,7 @@ def load_model(path: str) -> ModelBundle:
             bias = np.frombuffer(braw, dtype="<f4").astype(np.float64)
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ModelFileError(f"{path}: layer {name} holds non-finite weights or bias")
-        params[name] = LayerParams(Tensor(weights), bias, spec.layer(name).frozen)
+        params[name] = LayerParams(Tensor(weights), bias)
     if pos != len(blob):
         raise ModelFileError(f"{path}: {len(blob) - pos} trailing bytes after weights")
     return ModelBundle(spec, params)

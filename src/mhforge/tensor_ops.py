@@ -58,12 +58,11 @@ class LayerParams:
 
     `weights` is 4-D: (Cout, Cin, K, K) for conv, (F, D, 1, 1) for fc.
     `bias` is 1-D with length equal to the output channels/features.
-    A frozen layer must never be touched by an optimizer step.
+    Whether the layer trains is its spec layer's `frozen` flag, not theirs.
     """
 
     weights: Tensor
     bias: np.ndarray
-    frozen: bool = False
 
     def __post_init__(self) -> None:
         self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
@@ -400,10 +399,10 @@ def glorot_uniform(rng: np.random.Generator, shape: Shape4) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def init_params(draw: Initialiser, shape: Shape4, seed: int, frozen: bool = False) -> LayerParams:
+def init_params(draw: Initialiser, shape: Shape4, seed: int) -> LayerParams:
     """Deterministic parameters for one layer: weights `draw(rng, shape)`, zero biases.
 
     The same 64-bit seed always yields identical params.
     """
     rng = np.random.default_rng(seed & SEED_MASK)
-    return LayerParams(Tensor(draw(rng, shape)), np.zeros(shape[0]), frozen)
+    return LayerParams(Tensor(draw(rng, shape)), np.zeros(shape[0]))

@@ -12,13 +12,13 @@ parameters never receive gradients, and the sweep stops below the deepest
 layer under which everything is frozen.
 
 A pass keeps only what the backward that follows it reads. `train` derives
-one plan (`backward_plan`) from the spec and frozen flags before its first
-epoch and hands it to every training pass: it says which layers' backward
-runs and which input gradients it reads, so the pass keeps those layers'
-inputs, a maxpool's record where that pool's backward runs, and a trainable
-conv's patch matrix for its weight gradient. Every other pass (validation,
-evaluation, prediction) runs under `NO_BACKWARD` and drops each activation
-after its last reader.
+one plan (`backward_plan`) from the spec's `frozen=true` lines before its
+first epoch and hands it to every training pass: it says which layers'
+backward runs and which input gradients it reads, so the pass keeps those
+layers' inputs, a maxpool's record where that pool's backward runs, and a
+trainable conv's patch matrix for its weight gradient. Every other pass
+(validation, evaluation, prediction) runs under `NO_BACKWARD` and drops each
+activation after its last reader.
 
 Every forward pass over a labelled image set goes through one loop,
 `_passes`: training batches (the epoch order cut into `batch_size` index
@@ -105,7 +105,7 @@ class TrainConfig:
 class BackwardPlan:
     """What a backward sweep runs and reads, and so what the forward pass before it keeps.
 
-    Derived by `backward_plan` from the spec and the parameters' frozen flags.
+    Derived by `backward_plan` from the spec's layers and their frozen flags.
     A layer's backward runs when a head's gradient can reach it and it or
     something feeding it trains.
     """
@@ -201,9 +201,9 @@ _LAYER_OPS = {
 
 
 def backward_plan(bundle: ModelBundle) -> BackwardPlan:
-    """What a backward sweep of the bundle, as its parameters are frozen now, runs and reads."""
+    """What a backward sweep of the bundle runs and reads, as its spec freezes layers."""
     layers = bundle.spec.layers
-    trains = frozenset(lay.name for lay in layers if lay.has_params and not bundle.params[lay.name].frozen)
+    trains = frozenset(lay.name for lay in layers if lay.has_params and not lay.frozen)
     reach: dict[str, bool] = {}
     for lay in layers:
         reach[lay.name] = lay.name in trains or (reach[lay.inputs[0]] if lay.inputs else False)
@@ -307,11 +307,12 @@ def sgd_step(
     momentum: float,
     velocity: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> None:
-    """v <- momentum*v - lr*g; w <- w + v. Updates params and velocity in place."""
+    """v <- momentum*v - lr*g; w <- w + v, in place, for exactly the layers `grads` names.
+
+    `backward_multi` names only layers that train, so a frozen layer never moves.
+    """
     for name, (gw, gb) in grads.items():
         p = params[name]
-        if p.frozen:
-            continue
         if name in velocity:
             vw, vb = velocity[name]
         else:

@@ -28,6 +28,14 @@ maxpool name=p2 in=r2 kernel=2 stride=2
 gavgpool name=g in=p2
 """
 
+# graymap headers load_pgm refuses, by id: (file bytes, what the error says after the path)
+MALFORMED_PGMS = {
+    "zero_by_zero": (b"P5\n0 0\n255\n", "image is 0x0"),
+    "zero_width": (b"P5\n0 3\n255\n", "image is 0x3"),
+    "no_space_after_magic": (b"P52 1 255 AB", "malformed header"),
+    "signed_width": (b"P5\n+2 1\n255\nAB", "malformed header"),
+}
+
 
 def naive_conv2d(x, w, b, stride, pad):
     """Six nested loops, nothing else. x:(N,C,H,W), w:(Cout,Cin,K,K), b:(Cout,)."""

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import model_file_bytes
+from helpers import MALFORMED_PGMS, model_file_bytes
 
 import mhforge
 from mhforge.cli import build_parser, main
@@ -251,6 +251,21 @@ class TestTrain:
         rows_a = (a / "model_trainlog.csv").read_text().splitlines()
         rows_b = (b / "model_trainlog.csv").read_text().splitlines()
         assert [r.rsplit(",", 1)[0] for r in rows_a] == [r.rsplit(",", 1)[0] for r in rows_b]
+
+    @pytest.mark.parametrize("data, message", MALFORMED_PGMS.values(), ids=MALFORMED_PGMS.keys())
+    def test_malformed_image_is_one_error_line_naming_the_file(self, pipeline, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(data)
+        with open(pipeline["manifest"]) as f:
+            lines = [os.path.join(pipeline["data"], line) for line in f.read().splitlines()]
+        lines[3] = f"{bad} {lines[3].split(' ', 1)[1]}"
+        (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+        code = main(["train", "--netspec", f"{pipeline['proposed']}/model.ns", "--categories", pipeline["cats"],
+                     "--manifest", str(tmp_path / "manifest.txt"), "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestNoInputMutation:

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from helpers import MALFORMED_PGMS
+
 from mhforge.dataset import (
     DataError,
     LabelCategories,
@@ -155,6 +157,29 @@ class TestPgm:
         p.write_bytes(b"P5\n# made by hand\n2 1\n255\nAB")
         img = load_pgm(str(p))
         assert img.shape == (1, 2)
+
+    @pytest.mark.parametrize("data, message", MALFORMED_PGMS.values(), ids=MALFORMED_PGMS.keys())
+    def test_malformed_header_is_refused_naming_the_file(self, tmp_path, data, message):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"{p}: {message}")):
+            load_pgm(str(p))
+
+    @pytest.mark.parametrize(
+        "data, pixels",
+        [
+            (b"P5# made by hand\n2 1\n255\nAB", [[65, 66]]),
+            (b"P5\n2\n# height next\n1\n255\nAB", [[65, 66]]),
+            (b"P5\n2# width\n1\n255\nAB", [[65, 66]]),
+            # one whitespace byte ends the header, so the LF of a CRLF is the first pixel
+            (b"P5\n2 1\n255\r\nAB", [[10, 65]]),
+        ],
+        ids=["comment_after_magic", "comment_between_fields", "comment_right_after_a_field", "crlf_after_maxval"],
+    )
+    def test_valid_header_forms(self, tmp_path, data, pixels):
+        p = tmp_path / "ok.pgm"
+        p.write_bytes(data)
+        assert load_pgm(str(p)).tolist() == pixels
 
 
 class TestGlyphs:

@@ -81,11 +81,6 @@ class TestNewBundle:
         a, b = small_bundle(1), small_bundle(2)
         assert not np.array_equal(a.params["c1"].weights.data, b.params["c1"].weights.data)
 
-    def test_frozen_flags_follow_spec(self):
-        b = small_bundle()
-        assert b.params["c1"].frozen
-        assert not b.params["head_a"].frozen
-
     def test_label_maps_from_binding(self):
         b = small_bundle()
         assert b.spec.categories == LabelCategories(("a", "b"), (("a0", "a1", "a2"), ("b0", "b1")))
@@ -123,7 +118,6 @@ class TestSaveLoad:
         for name in b.params:
             orig = b.params[name]
             got = back.params[name]
-            assert got.frozen == orig.frozen
             assert np.max(np.abs(got.weights.data - orig.weights.data)) < 1e-7
             assert np.array_equal(got.bias, orig.bias)  # zeros are exact in f32
 

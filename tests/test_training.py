@@ -31,7 +31,7 @@ from mhforge.dataset import (
     with_base,
 )
 from mhforge.errors import MhforgeError
-from mhforge.modelfile import new_bundle, save_model
+from mhforge.modelfile import ModelBundle, new_bundle, save_model
 from mhforge.netspec import KINDS, bind_categories, parse_netspec
 from mhforge.surgery import (
     HcLabelMap,
@@ -341,6 +341,14 @@ def finetune_shaped_spec():
     return dataclasses.replace(spec, layers=layers)
 
 
+def training_only(bundle, trains):
+    """The bundle's own parameter arrays under a description in which exactly `trains` is unfrozen."""
+    layers = tuple(
+        dataclasses.replace(l, frozen=l.name not in trains) if l.has_params else l for l in bundle.spec.layers
+    )
+    return ModelBundle(dataclasses.replace(bundle.spec, layers=layers), bundle.params)
+
+
 def weight_grads_always(monkeypatch):
     """Makes the conv and fc backward ops compute weight gradients for frozen layers too, which backward_multi
     then discards: the reference a backward that skips them must match."""
@@ -377,8 +385,7 @@ class TestBackwardPlan:
             lowest = next(l.name for l in spec.layers if l.has_params)
             for flags in ("as drawn", "lowest trains"):
                 if flags == "lowest trains":
-                    for name, p in bundle.params.items():
-                        p.frozen = name != lowest
+                    bundle = training_only(bundle, {lowest})
                 where = (case, flags)
                 plan = backward_plan(bundle)
                 state = forward_all(bundle, images, plan)
@@ -417,8 +424,7 @@ class TestBackwardPlan:
 
         # c1 and head_kind train; c2 and head_spot only pass gradients down to c1
         bundle = new_bundle(attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), CATS, "g"), seed=0)
-        for name, p in bundle.params.items():
-            p.frozen = name not in ("c1", "head_kind")
+        bundle = training_only(bundle, {"c1", "head_kind"})
         names = {id(p): n for n, p in bundle.params.items()}
         _, labels = make_batch(n=2)
         images = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 1, 34, 34)))
@@ -463,8 +469,7 @@ class TestBackwardPlan:
 
         spec = finetune_shaped_spec()
         trains_c2 = new_bundle(spec, seed=0)
-        heads_only = new_bundle(spec, seed=0)
-        heads_only.params["c2"].frozen = True
+        heads_only = training_only(new_bundle(spec, seed=0), {"head_kind", "head_spot"})
         names = {id(p): n for bundle in (trains_c2, heads_only) for n, p in bundle.params.items()}
 
         patch_builds = []  # one entry per _patch_matrix call: was a backward op running?
@@ -507,17 +512,22 @@ class TestBackwardPlan:
         assert backward_plan(trains_c2).keeps_patches == {"c2"}
         assert backward_plan(heads_only).keeps_patches == frozenset()
         # a changed frozen flag gets the bundle a new plan
-        heads_only.params["c2"].frozen = False
+        heads_only = ModelBundle(spec, heads_only.params)
         assert backward_plan(heads_only).keeps_patches == {"c2"}
 
-    def test_train_keeps_patches_on_training_batches_only(self, tmp_path, monkeypatch):
-        # each (kind, spot) combination twice: one image trains, one validates
+    @staticmethod
+    def acceptance_entries(tmp_path):
+        """Twelve random 34x34 images, each (kind, spot) combination twice: one image trains, one validates."""
         rng = np.random.default_rng(8)
         entries = []
         for i in range(12):
             path = str(tmp_path / f"img_{i:02d}.pgm")
             save_pgm(path, rng.uniform(0, 1, (34, 34)))
             entries.append(ManifestEntry(path, (i % 3, i // 3 % 2)))
+        return entries
+
+    def test_train_keeps_patches_on_training_batches_only(self, tmp_path, monkeypatch):
+        entries = self.acceptance_entries(tmp_path)
         bundle = new_bundle(finetune_shaped_spec(), seed=0)
         names = {id(p): n for n, p in bundle.params.items()}
 
@@ -545,12 +555,32 @@ class TestBackwardPlan:
         epoch += [("validation", "c1", False), ("validation", "c2", False)]
         assert seen == epoch * 2
 
+    def test_the_description_alone_decides_what_trains(self, tmp_path):
+        entries = self.acceptance_entries(tmp_path)
+        proposed = attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), CATS, "g")
+        frozen = new_bundle(proposed, seed=0)
+        # c2 is unfrozen in the description only: the parameters are built for the spec that freezes it
+        unfrozen = ModelBundle(finetune_shaped_spec(), new_bundle(proposed, seed=0).params)
+        assert "c2" in backward_plan(unfrozen).trains
+        assert "c2" not in backward_plan(frozen).trains
+
+        def c2_bytes(bundle):
+            return bundle.params["c2"].weights.data.tobytes() + bundle.params["c2"].bias.tobytes()
+
+        before = c2_bytes(frozen)
+        assert c2_bytes(unfrozen) == before
+        config = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, seed=0)
+        train(frozen, entries, config)
+        train(unfrozen, entries, config)
+        assert c2_bytes(frozen) == before
+        assert c2_bytes(unfrozen) != before
+
 
 class TestSgdStep:
     @staticmethod
-    def one_param(w, b, frozen=False):
+    def one_param(w, b):
         weights = Tensor(np.full((1, 1, 1, 1), w, dtype=np.float64))
-        return {"fc": LayerParams(weights, np.array([b], dtype=np.float64), frozen)}
+        return {"fc": LayerParams(weights, np.array([b], dtype=np.float64))}
 
     @staticmethod
     def grad(gw, gb):
@@ -574,14 +604,6 @@ class TestSgdStep:
         sgd_step(params, g, lr=0.1, momentum=0.9, velocity=velocity)
         assert params["fc"].weights.data.item() == pytest.approx(0.42, abs=1e-15)
         assert velocity["fc"][0].item() == pytest.approx(-0.38, abs=1e-15)
-
-    def test_frozen_parameters_never_move(self):
-        params = self.one_param(1.0, 0.5, frozen=True)
-        velocity = {}
-        sgd_step(params, self.grad(2.0, 1.0), lr=0.1, momentum=0.9, velocity=velocity)
-        assert params["fc"].weights.data.item() == 1.0
-        assert params["fc"].bias[0] == 0.5
-        assert velocity == {}
 
     def test_zero_velocity_is_built_on_the_first_step_only(self, monkeypatch):
         built = []
