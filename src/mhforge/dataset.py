@@ -158,8 +158,8 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 def load_pgm(path: str) -> np.ndarray:
     """Reads an 8-bit binary portable graymap's raster as a 2-D uint8 array; `scale` gives its pixels."""
-    with open(path, "rb") as f:
-        data = f.read()
+    with open(path, "rb", buffering=0) as f:  # one read of the whole file, no buffer in between
+        data = f.readall()
     if not data.startswith(b"P5"):
         raise DataError(f"{path}: not a binary portable graymap (missing P5 magic)")
     header = _PGM_HEADER.match(data)
@@ -170,10 +170,10 @@ def load_pgm(path: str) -> np.ndarray:
         raise DataError(f"{path}: image is {w}x{h}; width and height must be at least 1")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
-    raster = data[header.end() : header.end() + w * h]
-    if len(raster) != w * h:
-        raise DataError(f"{path}: expected {w * h} pixel bytes, found {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+    found = len(data) - header.end()
+    if found != w * h:
+        raise DataError(f"{path}: expected {w * h} pixel bytes, found {found}")
+    return np.frombuffer(data, dtype=np.uint8, offset=header.end()).reshape(h, w)
 
 
 def scale(rasters: np.ndarray) -> np.ndarray:

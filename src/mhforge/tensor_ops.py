@@ -1,7 +1,15 @@
 """Dense 4-D tensor arithmetic: forward and backward math for every supported layer kind.
 
-All arithmetic runs in float64. Every op is a pure function of its inputs;
-tensors are treated as immutable except for explicit optimizer updates.
+All arithmetic runs in float64. Activations are channels-last, (N, H, W, C):
+a conv's GEMM writes its output rows in that layout, so no op transposes them
+back. NCHW remains only where the order of the arithmetic depends on it, each
+time on a C-contiguous NCHW copy: the mean of `global_avgpool`, the flatten
+of an fc over a spatial input (H*W > 1), whose weights are laid out in
+(c, h, w) order, and the output gradient of `conv2d_backward`, from which it
+sums the bias gradient and builds its GEMM operands. Every op is
+a pure function of its inputs, except `relu` when asked to write in place;
+tensors are otherwise treated as immutable except for explicit optimizer
+updates.
 """
 
 from __future__ import annotations
@@ -26,10 +34,13 @@ class ShapeMismatch(MhforgeError):
 
 
 class Tensor:
-    """Dense (N, C, H, W) array of float64, row-major.
+    """Dense 4-D array of float64, row-major.
 
-    Wraps a C-contiguous ndarray; the flat data length always equals
-    N*C*H*W. Construction copies only when needed.
+    An activation is channels-last, (N, H, W, C); conv weights are
+    (Cout, Cin, K, K) and fc weights (F, D, 1, 1). An image batch handed to
+    `training.forward_all` is (N, C, H, W), its public layout; the ops take
+    NCHW copies only where the module docstring says. Wraps a C-contiguous
+    ndarray. Construction copies only when needed.
     """
 
     __slots__ = ("data",)
@@ -37,7 +48,7 @@ class Tensor:
     def __init__(self, data: np.ndarray) -> None:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if arr.ndim != 4:
-            raise ShapeMismatch(f"tensor must be 4-D (N,C,H,W), got {arr.ndim}-D shape {arr.shape}")
+            raise ShapeMismatch(f"tensor must be 4-D, got {arr.ndim}-D shape {arr.shape}")
         self.data = arr
 
     @property
@@ -87,7 +98,7 @@ def _check_conv_args(input: Tensor, params: LayerParams, stride: int, pad: int) 
     cout, cin, kh, kw = params.weights.shape
     if kh != kw:
         raise ShapeMismatch(f"conv kernel must be square, got {kh}x{kw}")
-    n, c, h, w = input.shape
+    n, h, w, c = input.shape
     if c != cin:
         raise ShapeMismatch(f"input has {c} channels but kernel expects {cin}")
     hout = window_out_dim(h, kh, stride, pad)
@@ -103,22 +114,24 @@ def _check_conv_args(input: Tensor, params: LayerParams, stride: int, pad: int) 
 def _patch_index(c: int, h: int, w: int, k: int, stride: int, pad: int) -> np.ndarray:
     """Read-only (Hout*Wout, C*K*K) intp array: where each patch-matrix entry of one image sits in its flat row.
 
-    The row is the image's C*H*W values followed by one 0.0; an entry that
-    falls on the zero padding points at that trailing zero, position C*H*W.
+    The row is the image's channels-last H*W*C values followed by one 0.0; an
+    entry that falls on the zero padding points at that trailing zero,
+    position H*W*C. The columns stay in (c, kh, kw) order.
     """
     hout, wout = window_out_dim(h, k, stride, pad), window_out_dim(w, k, stride, pad)
     ch = np.arange(c)[None, None, :, None, None]
     row = np.arange(hout)[:, None, None, None, None] * stride + np.arange(k)[:, None] - pad
     col = np.arange(wout)[None, :, None, None, None] * stride + np.arange(k) - pad
     inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
-    index = np.where(inside, (ch * h + row) * w + col, c * h * w).astype(np.intp)
+    index = np.where(inside, (row * w + col) * c + ch, h * w * c).astype(np.intp)
     index = index.reshape(hout * wout, c * k * k)
     index.flags.writeable = False
     return index
 
 
 def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout: int) -> np.ndarray:
-    """C-contiguous (N*Hout*Wout, C*K*K) im2col matrix: one receptive field per row, columns in (c, kh, kw) order.
+    """C-contiguous (N*Hout*Wout, C*K*K) im2col matrix of a channels-last input: one receptive field per row,
+    rows in (n, oh, ow) order, columns in (c, kh, kw) order.
 
     These are the values, order and layout np.tensordot copies the window view
     into, so a GEMM on it adds the same products in the same order. (With a 1x1
@@ -128,8 +141,8 @@ def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout:
     the row at `_patch_index`, built once per input geometry; padding reads the
     trailing zero.
     """
-    n, c, h, w = x.shape
-    rows = np.empty((n, c * h * w + 1))
+    n, h, w, c = x.shape
+    rows = np.empty((n, h * w * c + 1))
     rows[:, :-1] = x.reshape(n, -1)
     rows[:, -1] = 0.0
     return np.take(rows, _patch_index(c, h, w, k, stride, pad), axis=1).reshape(n * hout * wout, c * k * k)
@@ -138,24 +151,27 @@ def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout:
 def conv2d_forward(
     input: Tensor, params: LayerParams, stride: int = 1, pad: int = 0, keep_patches: bool = False
 ) -> Tensor | tuple[Tensor, np.ndarray]:
-    """2-D convolution: each output element is the receptive field dotted with the kernel, plus bias.
+    """2-D convolution of a channels-last input: each output element is the receptive field dotted with the kernel,
+    plus bias.
 
     One GEMM of the patch matrix with the (C*K*K, Cout) weight view, the
     operands np.tensordot would build, so the result is bitwise tensordot's.
-    The patch matrix is one gather from the input through an index built once
-    per input geometry (`_patch_index`). With keep_patches, also returns the
-    patch matrix, which conv2d_backward then multiplies instead of building it
-    again.
+    Its (N*Hout*Wout, Cout) rows are the channels-last output; the bias is
+    added in place as one Hout*Wout*Cout row. The patch matrix is one gather
+    from the input through an index built once per input geometry
+    (`_patch_index`). With keep_patches, also returns the patch matrix, which
+    conv2d_backward then multiplies instead of building it again.
     """
     cout, k, hout, wout, _ = _check_conv_args(input, params, stride, pad)
     n = input.shape[0]
     cols = _patch_matrix(input.data, k, stride, pad, hout, wout)
     res = np.dot(cols, params.weights.data.transpose(1, 2, 3, 0).reshape(-1, cout))
     if not keep_patches:
-        del cols  # freed before the output is allocated
-    out = np.empty((n, cout, hout, wout))
-    np.add(res.reshape(n, hout, wout, cout).transpose(0, 3, 1, 2), params.bias[:, None, None], out=out)
-    return (Tensor(out), cols) if keep_patches else Tensor(out)
+        del cols  # freed before the bias row is allocated
+    per_image = res.reshape(n, hout * wout * cout)  # a view: one image's channels-last output per row
+    per_image += np.tile(params.bias, hout * wout)
+    out = Tensor(res.reshape(n, hout, wout, cout))
+    return (out, cols) if keep_patches else out
 
 
 def conv2d_backward(
@@ -168,22 +184,28 @@ def conv2d_backward(
     patches: np.ndarray | None = None,
     weight_grad: bool = True,
 ) -> tuple[Tensor | None, Tensor | None, np.ndarray | None]:
-    """Gradients of sum(grad_out * conv2d_forward(...)) w.r.t. input, weights, and bias.
+    """Gradients of sum(grad_out * conv2d_forward(...)) w.r.t. input, weights, and bias; input, grad_out and the
+    input gradient are channels-last.
 
     Every GEMM gets the operands np.tensordot would build, so all three are
     bitwise tensordot's; the input gradient adds the K*K offsets in (kh, kw) order.
+    They are built, and the bias gradient summed, from a C-contiguous NCHW
+    copy of grad_out, as tensordot builds them from an NCHW gradient: the
+    reduction order of the bias sum depends on that layout, and so does the
+    input gradient's (N*Hout*Wout, Cout) operand, a column-major view when
+    N = 1 and a row-major copy otherwise.
     Without input_grad the input gradient is None and is not computed; without
     weight_grad the weight and bias gradients are None and are not computed,
     nor is a patch matrix built. `patches` is the patch matrix conv2d_forward
     returned for this input, multiplied instead of being built again.
     """
     cout, k, hout, wout, cin = _check_conv_args(input, params, stride, pad)
-    n, c, h, w = input.shape
-    if grad_out.shape != (n, cout, hout, wout):
-        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != conv output shape {(n, cout, hout, wout)}")
+    n, h, w, _ = input.shape
+    if grad_out.shape != (n, hout, wout, cout):
+        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != conv output shape {(n, hout, wout, cout)}")
     if patches is not None and patches.shape != (n * hout * wout, cin * k * k):
         raise ShapeMismatch(f"patch matrix shape {patches.shape} != {(n * hout * wout, cin * k * k)} for this input")
-    g = grad_out.data
+    g = np.ascontiguousarray(grad_out.data.transpose(0, 3, 1, 2))
 
     grad_w = grad_bias = None
     if weight_grad:
@@ -195,14 +217,13 @@ def conv2d_backward(
         return None, grad_w, grad_bias
 
     g_rows = g.transpose(0, 2, 3, 1).reshape(-1, cout)  # (N*Hout*Wout, Cout)
-    gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))  # channels-last, with the padding border
+    gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))  # with the padding border
     wdat = params.weights.data
     for kh in range(k):
         for kw in range(k):
             contrib = np.dot(g_rows, wdat[:, :, kh, kw]).reshape(n, hout, wout, cin)
             gxp[:, kh : kh + hout * stride : stride, kw : kw + wout * stride : stride] += contrib
-    gx = gxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
-    return Tensor(gx), grad_w, grad_bias
+    return Tensor(gxp[:, pad : pad + h, pad : pad + w]), grad_w, grad_bias
 
 
 @dataclass(frozen=True)
@@ -219,32 +240,34 @@ class PoolIndexMap:
 
 
 def _pool_views(x: np.ndarray, k: int, stride: int) -> list[np.ndarray]:
-    """The strided view of an (N, C, H, W) array at each k x k window offset, in row-major (i, j) order.
+    """The strided view of a channels-last (N, H, W, C) array at each k x k window offset, in row-major (i, j) order.
 
-    Element [oh, ow] of offset (i, j)'s view is element (i, j) of window (oh, ow).
+    Element [n, oh, ow, c] of offset (i, j)'s view is element (i, j) of window
+    (oh, ow) of channel c. Every op on the views is elementwise, so the layout
+    changes no result and pooling takes no NCHW copy.
     """
-    _, _, h, w = x.shape
+    _, h, w, _ = x.shape
     hspan = (window_out_dim(h, k, stride) - 1) * stride + 1
     wspan = (window_out_dim(w, k, stride) - 1) * stride + 1
-    return [x[:, :, i : i + hspan : stride, j : j + wspan : stride] for i in range(k) for j in range(k)]
+    return [x[:, i : i + hspan : stride, j : j + wspan : stride] for i in range(k) for j in range(k)]
 
 
 def maxpool2d(input: Tensor, k: int, stride: int) -> tuple[Tensor, PoolIndexMap]:
-    """Max over each k x k window; also returns the record the backward pass reads.
+    """Max over each k x k window of a channels-last input; also returns the record the backward pass reads.
 
-    The max is taken over the k*k strided slices, one window offset at a time.
-    The running max is the second operand of np.maximum, which returns that
-    operand on ties, so the earliest window element wins, signed zeros
-    included; a NaN propagates.
+    The max is taken over the k*k strided slices, one window offset at a time,
+    starting from the max of the first two. The running max is the second
+    operand of np.maximum, which returns that operand on ties, so the
+    earliest window element wins, signed zeros included; a NaN propagates.
     """
     if k < 1 or stride < 1:
         raise ShapeMismatch(f"kernel and stride must be >= 1, got k={k}, stride={stride}")
-    _, _, h, w = input.shape
+    _, h, w, _ = input.shape
     if k > h or k > w:
         raise ShapeMismatch(f"pool window {k}x{k} exceeds spatial dims {h}x{w}")
     first, *rest = _pool_views(input.data, k, stride)
-    out = first.copy()
-    for part in rest:
+    out = np.maximum(rest[0], first) if rest else first.copy()
+    for part in rest[1:]:
         np.maximum(part, out, out=out)
     pooled = Tensor(out)
     return pooled, PoolIndexMap(input, pooled, k, stride)
@@ -278,19 +301,28 @@ def maxpool2d_backward(pool_map: PoolIndexMap, grad_out: Tensor) -> Tensor:
 
 
 def global_avgpool(input: Tensor) -> Tensor:
-    """Mean over the spatial dims, per channel: (N,C,H,W) -> (N,C,1,1)."""
-    return Tensor(input.data.mean(axis=(2, 3), keepdims=True))
+    """Mean over the spatial dims, per channel: (N,H,W,C) -> (N,1,1,C).
+
+    Taken over a C-contiguous NCHW copy, so each channel's H*W values are
+    summed in the same order as numpy sums an NCHW tensor.
+    """
+    n, _, _, c = input.shape
+    return Tensor(np.ascontiguousarray(input.data.transpose(0, 3, 1, 2)).mean(axis=(2, 3)).reshape(n, 1, 1, c))
 
 
 def global_avgpool_backward(input_shape: Shape4, grad_out: Tensor) -> Tensor:
-    n, c, h, w = input_shape
-    if grad_out.shape != (n, c, 1, 1):
-        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != expected {(n, c, 1, 1)}")
+    n, h, w, c = input_shape
+    if grad_out.shape != (n, 1, 1, c):
+        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != expected {(n, 1, 1, c)}")
     return Tensor(np.broadcast_to(grad_out.data / (h * w), input_shape).copy())
 
 
-def relu(input: Tensor) -> Tensor:
-    return Tensor(np.maximum(input.data, 0.0))
+def relu(input: Tensor, in_place: bool = False) -> Tensor:
+    """max(input, 0) elementwise; in_place writes it into the input's array and returns the input itself."""
+    if not in_place:
+        return Tensor(np.maximum(input.data, 0.0))
+    np.maximum(input.data, 0.0, out=input.data)
+    return input
 
 
 def relu_backward(input: Tensor, grad_out: Tensor) -> Tensor:
@@ -304,20 +336,27 @@ def _check_fc_args(input: Tensor, params: LayerParams) -> tuple[int, int, int]:
     f, d, kh, kw = params.weights.shape
     if kh != 1 or kw != 1:
         raise ShapeMismatch(f"fc weights must be (F, D, 1, 1), got {params.weights.shape}")
-    n, c, h, w = input.shape
+    n, h, w, c = input.shape
     found = c * h * w
     if found != d:
         raise ShapeMismatch(f"fc expected input dim {d}, found {found}")
     return n, f, d
 
 
+def _flatten(input: Tensor, n: int, d: int) -> np.ndarray:
+    """The C-contiguous (N, D) rows of a channels-last input in (c, h, w) order, the order of an fc weight row.
+
+    A view where H = W = 1; otherwise a copy of the NCHW transpose.
+    """
+    return input.data.transpose(0, 3, 1, 2).reshape(n, d)
+
+
 def fully_connected(input: Tensor, params: LayerParams) -> Tensor:
-    """Flattens (N,C,H,W) to (N,D) and applies out = x @ W.T + bias, returned as (N,F,1,1)."""
+    """Flattens (N,H,W,C) to (N,D) in (c, h, w) order and applies out = x @ W.T + bias, returned as (N,1,1,F)."""
     n, f, d = _check_fc_args(input, params)
-    x2 = input.data.reshape(n, d)
     w2 = params.weights.data.reshape(f, d)
-    out = x2 @ w2.T + params.bias
-    return Tensor(out.reshape(n, f, 1, 1))
+    out = _flatten(input, n, d) @ w2.T + params.bias
+    return Tensor(out.reshape(n, 1, 1, f))
 
 
 def fully_connected_backward(
@@ -329,23 +368,24 @@ def fully_connected_backward(
     weight_grad the weight and bias gradients are None and are not computed.
     """
     n, f, d = _check_fc_args(input, params)
-    if grad_out.shape != (n, f, 1, 1):
-        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != expected {(n, f, 1, 1)}")
+    if grad_out.shape != (n, 1, 1, f):
+        raise ShapeMismatch(f"grad_out shape {grad_out.shape} != expected {(n, 1, 1, f)}")
     g2 = grad_out.data.reshape(n, f)
     grad_w = grad_b = None
     if weight_grad:
-        grad_w = Tensor((g2.T @ input.data.reshape(n, d)).reshape(f, d, 1, 1))
+        grad_w = Tensor((g2.T @ _flatten(input, n, d)).reshape(f, d, 1, 1))
         grad_b = g2.sum(axis=0)
     if not input_grad:
         return None, grad_w, grad_b
-    grad_x = (g2 @ params.weights.data.reshape(f, d)).reshape(input.shape)
+    _, h, w, c = input.shape
+    grad_x = (g2 @ params.weights.data.reshape(f, d)).reshape(n, c, h, w).transpose(0, 2, 3, 1)
     return Tensor(grad_x), grad_w, grad_b
 
 
 def _logits_2d(logits: Tensor) -> np.ndarray:
-    n, f, h, w = logits.shape
+    n, h, w, f = logits.shape
     if h != 1 or w != 1:
-        raise ShapeMismatch(f"logits must be (N, F, 1, 1), got {logits.shape}")
+        raise ShapeMismatch(f"logits must be (N, 1, 1, F), got {logits.shape}")
     return logits.data.reshape(n, f)
 
 

@@ -18,7 +18,13 @@ backward runs and which input gradients it reads, so the pass keeps those
 layers' inputs, a maxpool's record where that pool's backward runs, and a
 trainable conv's patch matrix for its weight gradient. Every other pass
 (validation, evaluation, prediction) runs under `NO_BACKWARD` and drops each
-activation after its last reader.
+activation after its last reader. A relu whose input nothing reads after it
+writes into that input (`ForwardState.overwrites`).
+
+Inside a pass every activation is channels-last, (N, H, W, C); the `input`
+layer turns the NCHW image batch into that layout, a reshape when C = 1
+(see `tensor_ops` for where the ops still take an NCHW copy). Head logits
+are (N, 1, 1, F).
 
 Every forward pass over a labelled image set goes through one loop,
 `_passes`: training batches (the epoch order cut into `batch_size` index
@@ -70,8 +76,9 @@ from .tensor_ops import (
 # Images per evaluation and validation pass. No larger than a default training
 # batch, so evaluation allocates no bigger conv arrays than training does. One
 # `evaluate` of 1,280 34x34 images on the acceptance backbone (one BLAS thread,
-# 2-CPU VM) took 0.16-0.19 ms per image at 8 against 0.20-0.23 ms at 64, with a
-# tracemalloc peak of 3.4 MiB against 15.6 MiB; 4 and 16 timed within 8's spread.
+# 2-CPU VM, channels-last) took 0.12-0.14 ms per image at 8, 0.13-0.15 at 4,
+# 0.11-0.12 at 16 and 0.13-0.14 at 64, with a tracemalloc peak of 3.6 MiB at 8
+# against 15.7 MiB at 64.
 EVAL_CHUNK = 8
 
 
@@ -124,15 +131,18 @@ NO_BACKWARD = BackwardPlan(frozenset(), {}, frozenset(), frozenset(), frozenset(
 class ForwardState:
     """One traversal, shared by all heads: the activations, maxpool records and patch matrices backward reads.
 
-    Holds what its plan's backward reads; every other activation is dropped
-    as soon as the forward pass is done with it.
+    Every activation is channels-last, (N, H, W, C), the image batch's too
+    once the `input` layer has run (`tensor_ops` says where an op still takes
+    an NCHW copy). Holds what its plan's backward reads; every other
+    activation is dropped as soon as the forward pass is done with it.
     """
 
     plan: BackwardPlan
     activations: dict[str, Tensor]
     pool_maps: dict[str, PoolIndexMap]
     patches: dict[str, np.ndarray]
-    heads: dict[str, Tensor]  # category -> its head's logits
+    heads: dict[str, Tensor]  # category -> its head's logits, (N, 1, 1, F)
+    overwrites: frozenset[str] = frozenset()  # relu layers that write into their input (see _overwrites)
 
 
 def _conv_forward(bundle, state, lay, x):
@@ -169,7 +179,8 @@ def _metric_sink(bundle, state, lay, x):
 # each call, never stored, so the function this module's attribute holds at call time (a tracer's
 # wrapper, say) is what runs.
 _LAYER_OPS = {
-    "input": (lambda bundle, state, lay, x: x, None),
+    # the NCHW image batch, channels-last: a view of the caller's array when C = 1
+    "input": (lambda bundle, state, lay, x: Tensor(x.data.transpose(0, 2, 3, 1)), None),
     "conv": (
         _conv_forward,
         lambda bundle, state, lay, x, g, input_grad: conv2d_backward(
@@ -178,7 +189,7 @@ _LAYER_OPS = {
         ),
     ),
     "relu": (
-        lambda bundle, state, lay, x: relu(x),
+        lambda bundle, state, lay, x: relu(x, in_place=lay.name in state.overwrites),
         lambda bundle, state, lay, x, g, input_grad: (relu_backward(x, g),),
     ),
     "maxpool": (
@@ -221,18 +232,33 @@ def backward_plan(bundle: ModelBundle) -> BackwardPlan:
     return BackwardPlan(trains, reach, frozenset(runs), keeps_patches, keeps)
 
 
+def _overwrites(spec, plan: BackwardPlan) -> frozenset[str]:
+    """The relu layers that may write into their input: its last reader, where the plan's backward does not keep it.
+
+    Never the image batch, which may be a view of the caller's array, nor a
+    head's logits, which the pass hands back.
+    """
+    held = plan.keeps.union(lay.name for lay in spec.layers if not lay.inputs or lay.head_tag is not None)
+    return frozenset(
+        lay.name
+        for lay, done in zip(spec.layers, spec.last_reads)
+        if lay.kind == "relu" and lay.inputs[0] in done and lay.inputs[0] not in held
+    )
+
+
 def forward_all(bundle: ModelBundle, images: Tensor, plan: BackwardPlan = NO_BACKWARD) -> ForwardState:
-    """Runs the graph once and holds each head's logits; scores nothing (see score_heads).
+    """Runs the graph once over (N, C, H, W) images and holds each head's logits; scores nothing (see score_heads).
 
     Keeps what `plan`'s backward reads; every other activation is dropped
-    after the last layer that reads it. A pass that backward_multi follows
-    needs the bundle's `backward_plan`.
+    after the last layer that reads it, or overwritten by a relu that reads
+    it last. A pass that backward_multi follows needs the bundle's
+    `backward_plan`.
     """
     spec = bundle.spec
     _, c, h, w = images.shape
     if (c, h, w) != spec.input_shape:
         raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    state = ForwardState(plan, {}, {}, {}, {})
+    state = ForwardState(plan, {}, {}, {}, {}, _overwrites(spec, plan))
     activations = state.activations
     for lay, done in zip(spec.layers, spec.last_reads):
         x = activations[lay.inputs[0]] if lay.inputs else images
@@ -251,6 +277,7 @@ def backward_multi(
     """Accumulates all heads' gradients in one reverse sweep over the shared graph.
 
     head_grads maps category -> gradient w.r.t. that head's logits, (N, F).
+    Every activation gradient is channels-last, as the activations are.
     Returns weight/bias gradients for unfrozen layers only; layers with no
     path to any seeded head are absent (their gradient is zero). Follows the
     plan `state` was computed under: an input gradient nothing reads is not

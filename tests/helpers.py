@@ -3,8 +3,14 @@
 Everything here trades speed for obviousness: plain Python loops,
 one arithmetic step per line, no numpy vectorization tricks. The
 exceptions are the tensordot convolution, kept as the bitwise reference for
-the GEMM convolution that replaced it, and the strided patch-matrix fill,
-kept as the reference for the gather that replaced it.
+the GEMM convolution that replaced it, the strided patch-matrix fill, kept as
+the reference for the gather that replaced it, and the NCHW running-max pool,
+kept as the reference for the channels-last pool that replaced it.
+
+The oracles take and return (N, C, H, W) arrays, as the package's ops did
+before its activations went channels-last; `nhwc`, `nchw` and the
+`channels_last_*` adapters move between the two layouts without touching the
+arithmetic.
 """
 
 import struct
@@ -34,7 +40,20 @@ MALFORMED_PGMS = {
     "zero_width": (b"P5\n0 3\n255\n", "image is 0x3"),
     "no_space_after_magic": (b"P52 1 255 AB", "malformed header"),
     "signed_width": (b"P5\n+2 1\n255\nAB", "malformed header"),
+    # a CRLF after maxval leaves the LF as a third pixel byte
+    "crlf_after_maxval": (b"P5\n2 1\n255\r\nAB", "expected 2 pixel bytes, found 3"),
+    "one_byte_too_long": (b"P5\n2 1\n255\nABC", "expected 2 pixel bytes, found 3"),
 }
+
+
+def nhwc(a):
+    """A C-contiguous channels-last (N, H, W, C) copy of an (N, C, H, W) array."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    """A C-contiguous (N, C, H, W) copy of a channels-last array."""
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -129,6 +148,25 @@ def tensordot_conv2d_backward(
     return Tensor(gx), grad_w, grad_bias
 
 
+def channels_last_conv2d_forward(input, params, stride=1, pad=0, keep_patches=False):
+    """tensordot_conv2d_forward between layout copies: takes and returns channels-last tensors, as conv2d_forward does."""
+    result = tensordot_conv2d_forward(Tensor(nchw(input.data)), params, stride, pad, keep_patches)
+    if keep_patches:
+        out, win = result
+        return Tensor(nhwc(out.data)), win
+    return Tensor(nhwc(result.data))
+
+
+def channels_last_conv2d_backward(
+    input, params, grad_out, stride=1, pad=0, input_grad=True, patches=None, weight_grad=True
+):
+    """tensordot_conv2d_backward between layout copies: channels-last input, grad_out and input gradient."""
+    gx, gw, gb = tensordot_conv2d_backward(
+        Tensor(nchw(input.data)), params, Tensor(nchw(grad_out.data)), stride, pad, input_grad, patches, weight_grad
+    )
+    return (None if gx is None else Tensor(nhwc(gx.data))), gw, gb
+
+
 def naive_conv2d_backward(x, w, g, stride, pad):
     """Gradients of sum(g * naive_conv2d(x, w, b, stride, pad)) by scalar loops: (gx, gw, gb)."""
     n, c, h, wd = x.shape
@@ -199,6 +237,102 @@ def naive_maxpool2d(x, k, stride):
                     out[ni, ci, oh, ow] = best
                     idx[ni, ci, oh, ow] = at
     return out, idx
+
+
+def _nchw_pool_views(x, k, stride):
+    _, _, h, w = x.shape
+    hspan = (h - k) // stride * stride + 1
+    wspan = (w - k) // stride * stride + 1
+    return [x[:, :, i : i + hspan : stride, j : j + wspan : stride] for i in range(k) for j in range(k)]
+
+
+def reference_maxpool2d(x, k, stride):
+    """The NCHW running max the channels-last maxpool2d replaced, kept as its bitwise reference: x (N, C, H, W).
+
+    np.maximum over the k*k strided slices in row-major offset order, the
+    running max its second operand.
+    """
+    first, *rest = _nchw_pool_views(x, k, stride)
+    out = first.copy()
+    for part in rest:
+        np.maximum(part, out, out=out)
+    return out
+
+
+def reference_maxpool2d_backward(x, out, k, stride, grad_out):
+    """The NCHW backward of reference_maxpool2d, whose output `out` is: first-claim routing, claims added in
+    descending offset order."""
+    gx = np.zeros(x.shape)
+    unclaimed = np.ones(out.shape, dtype=bool)
+    claims = []
+    for part, cells in zip(_nchw_pool_views(x, k, stride), _nchw_pool_views(gx, k, stride)):
+        hit = part == out
+        hit |= np.isnan(part)
+        hit &= unclaimed
+        unclaimed ^= hit
+        claims.append((cells, hit))
+    for cells, hit in reversed(claims):
+        cells += np.where(hit, grad_out, 0.0)
+    return gx
+
+
+def reference_pass(bundle, images, head_grads):
+    """One NCHW forward and backward pass of every layer: ((N, F) logits per category, {layer: (gw, gb)}).
+
+    Built from the tensordot convolution, the reference maxpool, an NCHW mean
+    for gavgpool and an NCHW flatten for fc, the arithmetic the channels-last
+    ops replaced. images is an (N, C, H, W) array; head_grads maps category
+    -> (N, F) logit gradient. Every parameterised layer a head's gradient
+    reaches gets weight and bias gradients, frozen or not; gradients that
+    meet at one output add in reverse layer order, as backward_multi adds
+    them.
+    """
+    acts = {}
+    pools = {}
+    for lay in bundle.spec.layers:
+        x = acts[lay.inputs[0]] if lay.inputs else images
+        p = bundle.params.get(lay.name)
+        if lay.kind == "input":
+            acts[lay.name] = x
+        elif lay.kind == "conv":
+            acts[lay.name] = tensordot_conv2d_forward(Tensor(x), p, lay.stride, lay.pad).data
+        elif lay.kind == "relu":
+            acts[lay.name] = np.maximum(x, 0.0)
+        elif lay.kind == "maxpool":
+            acts[lay.name] = pools[lay.name] = reference_maxpool2d(x, lay.kernel, lay.stride)
+        elif lay.kind == "gavgpool":
+            acts[lay.name] = x.mean(axis=(2, 3), keepdims=True)
+        elif lay.kind == "fc":
+            f = p.weights.shape[0]
+            acts[lay.name] = (x.reshape(x.shape[0], -1) @ p.weights.data.reshape(f, -1).T + p.bias).reshape(-1, f, 1, 1)
+    logits = {lay.head_tag: acts[lay.name].reshape(images.shape[0], -1) for lay in bundle.spec.heads()}
+
+    grads = {lay.name: np.asarray(head_grads[lay.head_tag]).reshape(acts[lay.name].shape)
+             for lay in bundle.spec.heads() if lay.head_tag in head_grads}
+    params = {}
+    for lay in reversed(bundle.spec.layers):
+        if lay.name not in grads or not lay.inputs:
+            continue
+        g = grads.pop(lay.name)
+        x = acts[lay.inputs[0]]
+        p = bundle.params.get(lay.name)
+        if lay.kind == "conv":
+            gx, gw, gb = tensordot_conv2d_backward(Tensor(x), p, Tensor(g), lay.stride, lay.pad)
+            gx, params[lay.name] = gx.data, (gw.data, gb)
+        elif lay.kind == "relu":
+            gx = g * (x > 0.0)
+        elif lay.kind == "maxpool":
+            gx = reference_maxpool2d_backward(x, pools[lay.name], lay.kernel, lay.stride, g)
+        elif lay.kind == "gavgpool":
+            gx = np.broadcast_to(g / (x.shape[2] * x.shape[3]), x.shape).copy()
+        elif lay.kind == "fc":
+            n, f = x.shape[0], p.weights.shape[0]
+            g2, x2, w2 = g.reshape(n, f), x.reshape(n, -1), p.weights.data.reshape(f, -1)
+            params[lay.name] = ((g2.T @ x2).reshape(p.weights.shape), g2.sum(axis=0))
+            gx = (g2 @ w2).reshape(x.shape)
+        src = lay.inputs[0]
+        grads[src] = grads[src] + gx if src in grads else gx
+    return logits, params
 
 
 def naive_maxpool2d_backward(x, k, stride, grad_out):

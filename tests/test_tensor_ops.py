@@ -1,4 +1,8 @@
-"""Layer math against slow oracles, hand-worked cases, and finite differences."""
+"""Layer math against slow oracles, hand-worked cases, and finite differences.
+
+The ops take channels-last (N, H, W, C) activations; the oracles in helpers
+take (N, C, H, W) arrays, so a comparison goes through `nhwc`/`nchw`.
+"""
 
 import itertools
 
@@ -28,18 +32,28 @@ from mhforge.tensor_ops import (
 )
 
 from helpers import (
+    channels_last_conv2d_backward,
+    channels_last_conv2d_forward,
     finite_diff,
     naive_conv2d,
     naive_conv2d_backward,
     naive_fc,
     naive_maxpool2d,
     naive_maxpool2d_backward,
+    nchw,
+    nhwc,
     rand_tensor,
+    reference_maxpool2d,
+    reference_maxpool2d_backward,
     rel_err,
     strided_patch_matrix,
-    tensordot_conv2d_backward,
-    tensordot_conv2d_forward,
 )
+
+
+def image(rows):
+    """A one-image, one-channel channels-last Tensor holding the 2-D `rows`."""
+    a = np.array(rows, dtype=np.float64)
+    return Tensor(a.reshape(1, *a.shape, 1))
 
 
 class TestTensor:
@@ -51,24 +65,24 @@ class TestTensor:
 class TestConvForward:
     def test_all_ones_3x3(self):
         # 3x3 kernel of ones over a 3x3 patch of ones, no pad: single output 9
-        x = Tensor(np.full((1, 1, 3, 3), 1.0))
+        x = Tensor(np.full((1, 3, 3, 1), 1.0))
         p = LayerParams(Tensor(np.full((1, 1, 3, 3), 1.0)), np.zeros(1))
         out = conv2d_forward(x, p, stride=1, pad=0)
         assert out.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 9.0
 
     def test_zero_input_gives_bias(self):
-        x = Tensor.zeros((2, 3, 5, 5))
+        x = Tensor.zeros((2, 5, 5, 3))
         p = LayerParams(Tensor.zeros((4, 3, 3, 3)), np.array([0.5, -1.0, 2.0, 0.0]))
         out = conv2d_forward(x, p, stride=1, pad=1)
         for co, b in enumerate([0.5, -1.0, 2.0, 0.0]):
-            assert np.all(out.data[:, co] == b)
+            assert np.all(out.data[..., co] == b)
 
     def test_floor_output_shape(self):
         # (5 + 0 - 2)//2 + 1 = 2, the trailing row/col is dropped
-        x = Tensor.zeros((1, 1, 5, 5))
+        x = Tensor.zeros((1, 5, 5, 1))
         p = LayerParams(Tensor.zeros((1, 1, 2, 2)), np.zeros(1))
-        assert conv2d_forward(x, p, stride=2, pad=0).shape == (1, 1, 2, 2)
+        assert conv2d_forward(x, p, stride=2, pad=0).shape == (1, 2, 2, 1)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
     def test_matches_naive_loops(self, stride, pad):
@@ -76,26 +90,26 @@ class TestConvForward:
         x = rng.uniform(-1, 1, (2, 3, 7, 6))
         w = rng.uniform(-1, 1, (4, 3, 3, 3))
         b = rng.uniform(-1, 1, 4)
-        got = conv2d_forward(Tensor(x), LayerParams(Tensor(w), b), stride, pad)
+        got = nchw(conv2d_forward(Tensor(nhwc(x)), LayerParams(Tensor(w), b), stride, pad).data)
         want = naive_conv2d(x, w, b, stride, pad)
         assert got.shape == want.shape
-        assert np.max(np.abs(got.data - want)) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_channel_mismatch_names_dims(self):
-        x = Tensor.zeros((1, 2, 4, 4))
+        x = Tensor.zeros((1, 4, 4, 2))
         p = LayerParams(Tensor.zeros((1, 3, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeMismatch, match="2 channels.*expects 3"):
             conv2d_forward(x, p)
 
     def test_too_small_input_rejected(self):
-        x = Tensor.zeros((1, 1, 2, 2))
+        x = Tensor.zeros((1, 2, 2, 1))
         p = LayerParams(Tensor.zeros((1, 1, 3, 3)), np.zeros(1))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="output would be 0x0"):
             conv2d_forward(x, p, stride=1, pad=0)
 
     def test_purity(self):
         rng = np.random.default_rng(7)
-        x = rng.uniform(-1, 1, (1, 2, 5, 5))
+        x = rng.uniform(-1, 1, (1, 5, 5, 2))
         w = rng.uniform(-1, 1, (3, 2, 3, 3))
         xc, wc = x.copy(), w.copy()
         conv2d_forward(Tensor(x), LayerParams(Tensor(w), np.zeros(3)), 1, 1)
@@ -107,7 +121,7 @@ class TestConvBackward:
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_finite_differences(self, stride, pad):
         rng = np.random.default_rng(42)
-        x = rng.uniform(-1, 1, (2, 2, 5, 5))
+        x = rng.uniform(-1, 1, (2, 5, 5, 2))
         w = rng.uniform(-1, 1, (3, 2, 3, 3))
         b = rng.uniform(-1, 1, 3)
         g = rng.uniform(-1, 1, conv2d_forward(Tensor(x), LayerParams(Tensor(w), b), stride, pad).shape)
@@ -122,15 +136,15 @@ class TestConvBackward:
         assert rel_err(gb, finite_diff(scalar, b)) < 1e-6
 
     def test_grad_shape_checked(self):
-        x = Tensor.zeros((1, 1, 4, 4))
+        x = Tensor.zeros((1, 4, 4, 1))
         p = LayerParams(Tensor.zeros((1, 1, 3, 3)), np.zeros(1))
-        with pytest.raises(ShapeMismatch):
-            conv2d_backward(x, p, Tensor.zeros((1, 1, 4, 4)), 1, 0)
+        with pytest.raises(ShapeMismatch, match="!= conv output shape"):
+            conv2d_backward(x, p, Tensor.zeros((1, 4, 4, 1)), 1, 0)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
     def test_without_weight_grad_builds_no_patch_matrix(self, stride, pad, monkeypatch):
         rng = np.random.default_rng(43)
-        x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 5, 2)))
         params = LayerParams(Tensor(rng.uniform(-1, 1, (3, 2, 3, 3))), rng.uniform(-1, 1, 3))
         g = Tensor(rng.uniform(-1, 1, conv2d_forward(x, params, stride, pad).shape))
         gx, _, _ = conv2d_backward(x, params, g, stride, pad)
@@ -144,7 +158,8 @@ class TestConvBackward:
 
 
 def conv_results(op_forward, op_backward, x, w, b, g, stride, pad):
-    """Forward output, then the input, weight and bias gradients, as float64 arrays."""
+    """Forward output, then the input, weight and bias gradients, as float64 arrays; x, g and the
+    output and input gradient channels-last."""
     params = LayerParams(Tensor(w), b)
     out = op_forward(Tensor(x), params, stride, pad)
     gx, gw, gb = op_backward(Tensor(x), params, Tensor(g), stride, pad)
@@ -156,7 +171,7 @@ def partial_call_mismatches(full, x, w, b, g, stride, pad, seed):
 
     conv: the forward that keeps its patch matrix, and backward without the input
     gradient, handed that matrix, or both. fc: backward without the input
-    gradient, on x flattened, with seeded weights and grad_out g[:, :, :1, :1].
+    gradient, on x flattened, with seeded weights and grad_out g[:, :1, :1]. x and g are channels-last.
     A skipped input gradient must be None. `full` is what conv_results returned.
     """
     out, gx, gw, gb = full
@@ -174,7 +189,7 @@ def partial_call_mismatches(full, x, w, b, g, stride, pad, seed):
         names += [f"conv {name}, {label}" for name, a, r in pairs if a.tobytes() != r.tobytes()]
 
     fc_params = LayerParams(Tensor(np.random.default_rng(seed).uniform(-1, 1, (w.shape[0], x[0].size, 1, 1))), b)
-    fc_g = Tensor(g[:, :, :1, :1])
+    fc_g = Tensor(g[:, :1, :1])
     _, fw, fb = fully_connected_backward(Tensor(x), fc_params, fc_g)
     fx2, fw2, fb2 = fully_connected_backward(Tensor(x), fc_params, fc_g, input_grad=False)
     if fx2 is not None or fw2.data.tobytes() != fw.data.tobytes() or fb2.tobytes() != fb.tobytes():
@@ -192,7 +207,8 @@ def tensordot_hands_blas_a_view(n, cin, k, stride):
 class TestConvMatchesTensordot:
     """The GEMM convolution against the tensordot convolution it replaced, bit for bit.
 
-    Where tensordot hands BLAS a view (see tensordot_hands_blas_a_view), both are held
+    The channels-last op is held to the NCHW oracle through layout copies
+    (helpers.channels_last_conv2d_*). Where tensordot hands BLAS a view (see tensordot_hands_blas_a_view), both are held
     to the scalar-loop oracle and to each other within 1e-12 instead. Every case also
     holds the calls that skip work to the full calls (partial_call_mismatches).
     """
@@ -210,11 +226,14 @@ class TestConvMatchesTensordot:
             hout = (h + 2 * pad - k) // stride + 1
             wout = (w + 2 * pad - k) // stride + 1
             g = rng.uniform(-1, 1, (n, cout, hout, wout))
+            x, g = nhwc(x), nhwc(g)
             got = conv_results(conv2d_forward, conv2d_backward, x, wt, b, g, stride, pad)
-            ref = conv_results(tensordot_conv2d_forward, tensordot_conv2d_backward, x, wt, b, g, stride, pad)
+            ref = conv_results(channels_last_conv2d_forward, channels_last_conv2d_backward, x, wt, b, g, stride, pad)
             names = partial_call_mismatches(got, x, wt, b, g, stride, pad, seed=(n, k, cin, cout, stride, pad))
             if tensordot_hands_blas_a_view(n, cin, k, stride):
-                oracle = (naive_conv2d(x, wt, b, stride, pad),) + naive_conv2d_backward(x, wt, g, stride, pad)
+                out = naive_conv2d(nchw(x), wt, b, stride, pad)
+                gx, gw, gb = naive_conv2d_backward(nchw(x), wt, nchw(g), stride, pad)
+                oracle = (nhwc(out), nhwc(gx), gw, gb)
                 for a, r, o in zip(got, ref, oracle):
                     assert a.shape == o.shape
                     assert np.max(np.abs(a - o)) < 1e-12
@@ -229,12 +248,12 @@ class TestConvMatchesTensordot:
     @pytest.mark.parametrize("cin,h,cout", [(1, 34, 8), (8, 17, 16)], ids=["c1", "c2"])
     def test_acceptance_shapes(self, n, cin, h, cout):
         rng = np.random.default_rng(n + cin)
-        x = rng.uniform(0, 1, (n, cin, h, h))
+        x = nhwc(rng.uniform(0, 1, (n, cin, h, h)))
         wt = rng.standard_normal((cout, cin, 3, 3)) * np.sqrt(2.0 / (9 * cin))
         b = rng.uniform(-0.1, 0.1, cout)
-        g = rng.uniform(-1, 1, (n, cout, h, h))
+        g = nhwc(rng.uniform(-1, 1, (n, cout, h, h)))
         got = conv_results(conv2d_forward, conv2d_backward, x, wt, b, g, 1, 1)
-        ref = conv_results(tensordot_conv2d_forward, tensordot_conv2d_backward, x, wt, b, g, 1, 1)
+        ref = conv_results(channels_last_conv2d_forward, channels_last_conv2d_backward, x, wt, b, g, 1, 1)
         for name, a, r in zip(("out", "gx", "gw", "gb"), got, ref):
             assert a.tobytes() == r.tobytes(), name
         assert partial_call_mismatches(got, x, wt, b, g, 1, 1, seed=(n, cin)) == []
@@ -258,7 +277,7 @@ class TestPatchMatrixMatchesStridedFill:
             if hout < 1 or wout < 1:
                 continue
             x = rng.uniform(-1, 1, (n, c, h, w))
-            got = tensor_ops_mod._patch_matrix(x, k, stride, pad, hout, wout)
+            got = tensor_ops_mod._patch_matrix(nhwc(x), k, stride, pad, hout, wout)
             want = strided_patch_matrix(x, k, stride, pad, hout, wout)
             if pad >= k:
                 assert not got[0].any()  # the first receptive field lies wholly in the padding
@@ -282,55 +301,53 @@ class TestPatchMatrixMatchesStridedFill:
 
 class TestMaxpool:
     def test_2x2_example(self):
-        t = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        t = image([[1.0, 2.0], [3.0, 4.0]])
         out, _ = maxpool2d(t, 2, 2)
         assert out.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 4.0
 
     def test_tie_takes_lowest_flat_index(self):
-        t = Tensor(np.full((1, 1, 4, 4), 3.0))
+        t = Tensor(np.full((1, 4, 4, 1), 3.0))
         out, pmap = maxpool2d(t, 2, 2)
         assert np.all(out.data == 3.0)
-        gx = maxpool2d_backward(pmap, Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
+        gx = maxpool2d_backward(pmap, image([[1.0, 2.0], [3.0, 4.0]]))
         # each window's gradient lands on its top-left element: flat indices 0, 2, 8 and 10
-        want = np.zeros((1, 1, 4, 4))
-        want[0, 0, ::2, ::2] = [[1.0, 2.0], [3.0, 4.0]]
+        want = np.zeros((1, 4, 4, 1))
+        want[0, ::2, ::2, 0] = [[1.0, 2.0], [3.0, 4.0]]
         assert gx.data.tobytes() == want.tobytes()
 
     def test_floor_drops_trailing(self):
-        t = Tensor(np.arange(25, dtype=float).reshape(1, 1, 5, 5))
+        t = Tensor(np.arange(25, dtype=float).reshape(1, 5, 5, 1))
         out, _ = maxpool2d(t, 2, 2)
-        assert out.shape == (1, 1, 2, 2)
-        assert out.data[0, 0, 1, 1] == 18.0
+        assert out.shape == (1, 2, 2, 1)
+        assert out.data[0, 1, 1, 0] == 18.0
 
     def test_window_larger_than_input_rejected(self):
         with pytest.raises(ShapeMismatch):
-            maxpool2d(Tensor.zeros((1, 1, 2, 2)), 3, 1)
+            maxpool2d(Tensor.zeros((1, 2, 2, 1)), 3, 1)
 
     def test_backward_routes_to_argmax(self):
-        t = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        _, pmap = maxpool2d(t, 2, 2)
+        _, pmap = maxpool2d(image([[1.0, 2.0], [3.0, 4.0]]), 2, 2)
         gx = maxpool2d_backward(pmap, Tensor(np.full((1, 1, 1, 1), 5.0)))
-        assert gx.data[0, 0, 1, 1] == 5.0
+        assert gx.data[0, 1, 1, 0] == 5.0
         assert gx.data.sum() == 5.0
 
     def test_backward_accumulates_overlap(self):
         # stride 1 windows overlap; the shared max cell must collect both grads
-        t = Tensor(np.array([[[[0.0, 9.0, 0.0], [0.0, 0.0, 0.0]]]]))
-        _, pmap = maxpool2d(t, 2, 1)
-        gx = maxpool2d_backward(pmap, Tensor(np.array([[[[1.0, 2.0]]]])))
-        assert gx.data[0, 0, 0, 1] == 3.0
+        _, pmap = maxpool2d(image([[0.0, 9.0, 0.0], [0.0, 0.0, 0.0]]), 2, 1)
+        gx = maxpool2d_backward(pmap, image([[1.0, 2.0]]))
+        assert gx.data[0, 0, 1, 0] == 3.0
 
     def test_backward_rejects_grad_of_another_shape(self):
-        _, pmap = maxpool2d(Tensor.zeros((1, 2, 4, 4)), 2, 2)
+        _, pmap = maxpool2d(Tensor.zeros((1, 4, 4, 2)), 2, 2)
         with pytest.raises(ShapeMismatch, match="pool output shape"):
-            maxpool2d_backward(pmap, Tensor.zeros((1, 2, 3, 2)))
+            maxpool2d_backward(pmap, Tensor.zeros((1, 3, 2, 2)))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
         # distinct values so the argmax is stable under the probe eps
-        x = rng.permutation(np.arange(64, dtype=float)).reshape(1, 1, 8, 8).copy()
-        g = rng.uniform(-1, 1, (1, 1, 4, 4))
+        x = rng.permutation(np.arange(64, dtype=float)).reshape(1, 8, 8, 1).copy()
+        g = rng.uniform(-1, 1, (1, 4, 4, 1))
 
         def scalar():
             out, _ = maxpool2d(Tensor(x), 2, 2)
@@ -375,42 +392,88 @@ class TestMaxpoolMatchesOracle:
     def test_values_and_indices(self, data, shape, k, stride):
         """The forward values, and a gradient that lands at the oracle's first-max indices."""
         x = pool_input(data, shape)
-        out, pmap = maxpool2d(Tensor(x), k, stride)
+        out, pmap = maxpool2d(Tensor(nhwc(x)), k, stride)
         want, _ = naive_maxpool2d(x, k, stride)
-        assert out.data.tobytes() == want.tobytes()
+        assert nchw(out.data).tobytes() == want.tobytes()
         rng = np.random.default_rng(1)
-        g = np.where(rng.random(out.shape) < 0.1, -0.0, rng.standard_normal(out.shape))
-        gx = maxpool2d_backward(pmap, Tensor(g))
-        assert gx.data.tobytes() == naive_maxpool2d_backward(x, k, stride, g).tobytes()
+        g = np.where(rng.random(want.shape) < 0.1, -0.0, rng.standard_normal(want.shape))
+        gx = maxpool2d_backward(pmap, Tensor(nhwc(g)))
+        assert nchw(gx.data).tobytes() == naive_maxpool2d_backward(x, k, stride, g).tobytes()
+
+
+class TestMaxpoolMatchesNchwReference:
+    """The channels-last pool against the NCHW running max it replaced (helpers.reference_maxpool2d), byte for byte."""
+
+    @pytest.mark.parametrize("data", ["random", "signed_zeros", "few_values", "nan"])
+    @pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (3, 2), (2, 1), (3, 3)])
+    def test_grid(self, k, stride, data):
+        x = pool_input(data, (3, 4, 11, 9), seed=10 * k + stride)  # odd H and W
+        out, pmap = maxpool2d(Tensor(nhwc(x)), k, stride)
+        want = reference_maxpool2d(x, k, stride)
+        assert out.data.tobytes() == nhwc(want).tobytes()
+        g = np.random.default_rng(k + stride).standard_normal(want.shape)
+        gx = maxpool2d_backward(pmap, Tensor(nhwc(g)))
+        assert gx.data.tobytes() == nhwc(reference_maxpool2d_backward(x, want, k, stride, g)).tobytes()
+
+    def test_signed_zero_tie_across_rows_and_columns(self):
+        """-0.0 at window cell (0, 1) ties +0.0 at (1, 0): the row-major first max is -0.0. A max taken
+        over the row offsets first would meet +0.0 in column 0 before -0.0 in column 1 and return +0.0."""
+        window = np.array([[-1.0, -0.0], [0.0, -2.0]])
+        x = np.tile(window, (2, 3, 2, 3))  # (2, 3, 4, 6): six 2x2 windows per channel
+        out, pmap = maxpool2d(Tensor(nhwc(x)), 2, 2)
+        want = reference_maxpool2d(x, 2, 2)
+        assert np.signbit(want).all() and not want.any()
+        assert out.data.tobytes() == nhwc(want).tobytes()
+        g = np.arange(1.0, want.size + 1).reshape(want.shape)
+        gx = maxpool2d_backward(pmap, Tensor(nhwc(g)))
+        want_gx = reference_maxpool2d_backward(x, want, 2, 2, g)
+        assert (want_gx[:, :, 0::2, 1::2] == g).all()  # every window's gradient goes to its -0.0
+        assert gx.data.tobytes() == nhwc(want_gx).tobytes()
 
 
 class TestGlobalAvgpool:
     def test_mean_example(self):
-        t = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        out = global_avgpool(t)
+        out = global_avgpool(image([[1.0, 2.0], [3.0, 4.0]]))
         assert out.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 2.5
 
     def test_backward_spreads_evenly(self):
-        gx = global_avgpool_backward((1, 1, 2, 2), Tensor(np.full((1, 1, 1, 1), 8.0)))
+        gx = global_avgpool_backward((1, 2, 2, 1), Tensor(np.full((1, 1, 1, 1), 8.0)))
+        assert gx.shape == (1, 2, 2, 1)
         assert np.all(gx.data == 2.0)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(5)
-        x = rng.uniform(-1, 1, (2, 3, 4, 5))
-        g = rng.uniform(-1, 1, (2, 3, 1, 1))
+        x = rng.uniform(-1, 1, (2, 4, 5, 3))
+        g = rng.uniform(-1, 1, (2, 1, 1, 3))
 
         def scalar():
             return float((global_avgpool(Tensor(x)).data * g).sum())
 
-        gx = global_avgpool_backward((2, 3, 4, 5), Tensor(g))
+        gx = global_avgpool_backward((2, 4, 5, 3), Tensor(g))
         assert rel_err(gx.data, finite_diff(scalar, x)) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(8, 16, 8, 8), (3, 5, 17, 13), (2, 4, 1, 1)])
+    def test_mean_is_the_nchw_mean_bit_for_bit(self, shape):
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        out = global_avgpool(Tensor(nhwc(x)))
+        assert out.shape == (shape[0], 1, 1, shape[1])
+        assert out.data.tobytes() == x.mean(axis=(2, 3), keepdims=True).tobytes()
 
 
 class TestRelu:
     def test_forward(self):
         t = Tensor(np.array([[[[-1.0, 0.0], [0.5, 2.0]]]]))
         assert np.array_equal(relu(t).data, [[[[0.0, 0.0], [0.5, 2.0]]]])
+        assert t.data[0, 0, 0, 0] == -1.0
+
+    def test_in_place_writes_into_the_input_and_returns_it(self):
+        x = np.random.default_rng(12).standard_normal((2, 3, 4, 5))
+        x[0, 0, 0, :2] = [np.nan, -0.0]
+        want = relu(Tensor(x)).data.tobytes()
+        t = Tensor(x)
+        assert relu(t, in_place=True) is t
+        assert t.data is x and x.tobytes() == want
 
     def test_backward_zero_at_kink(self):
         t = Tensor(np.array([[[[-1.0, 0.0], [0.5, 2.0]]]]))
@@ -432,13 +495,13 @@ class TestRelu:
 
 class TestFullyConnected:
     def test_identity_weights(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))
+        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3))
         p = LayerParams(Tensor(np.eye(3).reshape(3, 3, 1, 1)), np.zeros(3))
         out = fully_connected(x, p)
         assert np.array_equal(out.data.reshape(-1), [1.0, 2.0, 3.0])
 
     def test_zero_weights_give_bias(self):
-        x = Tensor(np.ones((2, 4, 1, 1)))
+        x = Tensor(np.ones((2, 1, 1, 4)))
         p = LayerParams(Tensor.zeros((3, 4, 1, 1)), np.array([1.0, 2.0, 3.0]))
         out = fully_connected(x, p)
         assert np.array_equal(out.data[1].reshape(-1), [1.0, 2.0, 3.0])
@@ -448,22 +511,23 @@ class TestFullyConnected:
         x = rng.uniform(-1, 1, (3, 2, 4, 4))
         w = rng.uniform(-1, 1, (5, 32))
         b = rng.uniform(-1, 1, 5)
-        got = fully_connected(Tensor(x), LayerParams(Tensor(w.reshape(5, 32, 1, 1)), b))
+        # the weights' D axis is in (c, h, w) order, the flatten of the NCHW input
+        got = fully_connected(Tensor(nhwc(x)), LayerParams(Tensor(w.reshape(5, 32, 1, 1)), b))
         want = naive_fc(x.reshape(3, 32), w, b)
         assert np.max(np.abs(got.data.reshape(3, 5) - want)) < 1e-12
 
     def test_dim_mismatch_message(self):
-        x = Tensor.zeros((1, 32, 1, 1))
+        x = Tensor.zeros((1, 1, 1, 32))
         p = LayerParams(Tensor.zeros((4, 16, 1, 1)), np.zeros(4))
         with pytest.raises(ShapeMismatch, match="expected input dim 16, found 32"):
             fully_connected(x, p)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(21)
-        x = rng.uniform(-1, 1, (2, 3, 2, 2))
+        x = rng.uniform(-1, 1, (2, 2, 2, 3))
         w = rng.uniform(-1, 1, (4, 12, 1, 1))
         b = rng.uniform(-1, 1, 4)
-        g = rng.uniform(-1, 1, (2, 4, 1, 1))
+        g = rng.uniform(-1, 1, (2, 1, 1, 4))
 
         def scalar():
             return float((fully_connected(Tensor(x), LayerParams(Tensor(w), b)).data * g).sum())
@@ -475,9 +539,9 @@ class TestFullyConnected:
 
     def test_without_weight_grad_only_the_input_gradient_is_computed(self):
         rng = np.random.default_rng(22)
-        x = Tensor(rng.uniform(-1, 1, (2, 3, 2, 2)))
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 2, 3)))
         params = LayerParams(Tensor(rng.uniform(-1, 1, (4, 12, 1, 1))), rng.uniform(-1, 1, 4))
-        g = Tensor(rng.uniform(-1, 1, (2, 4, 1, 1)))
+        g = Tensor(rng.uniform(-1, 1, (2, 1, 1, 4)))
         gx, _, _ = fully_connected_backward(x, params, g)
         gx2, gw2, gb2 = fully_connected_backward(x, params, g, weight_grad=False)
         assert gw2 is None and gb2 is None
@@ -486,13 +550,13 @@ class TestFullyConnected:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_way_is_ln2(self):
-        logits = Tensor.zeros((1, 2, 1, 1))
+        logits = Tensor.zeros((1, 1, 1, 2))
         loss, probs, _ = softmax_cross_entropy(logits, [0])
         assert abs(loss - np.log(2.0)) < 1e-12
         assert np.allclose(probs, 0.5)
 
     def test_huge_logits_stable(self):
-        logits = Tensor(np.array([1000.0, 0.0]).reshape(1, 2, 1, 1))
+        logits = Tensor(np.array([1000.0, 0.0]).reshape(1, 1, 1, 2))
         loss, probs, _ = softmax_cross_entropy(logits, [0])
         assert np.isfinite(loss)
         assert loss < 1e-12
@@ -502,14 +566,14 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(9)
         z = rng.uniform(-2, 2, (4, 5))
         labels = [0, 3, 2, 2]
-        _, probs, grad = softmax_cross_entropy(Tensor(z.reshape(4, 5, 1, 1)), labels)
+        _, probs, grad = softmax_cross_entropy(Tensor(z.reshape(4, 1, 1, 5)), labels)
         onehot = np.zeros((4, 5))
         onehot[np.arange(4), labels] = 1.0
         assert np.max(np.abs(grad - (probs - onehot) / 4.0)) < 1e-15
 
     def test_finite_differences(self):
         rng = np.random.default_rng(13)
-        z = rng.uniform(-2, 2, (3, 4, 1, 1))
+        z = rng.uniform(-2, 2, (3, 1, 1, 4))
         labels = [1, 0, 3]
 
         def scalar():
@@ -521,30 +585,30 @@ class TestSoftmaxCrossEntropy:
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(17)
-        z = rng.uniform(-50, 50, (8, 6, 1, 1))
+        z = rng.uniform(-50, 50, (8, 1, 1, 6))
         _, probs, _ = softmax_cross_entropy(Tensor(z), [0] * 8)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_label_out_of_range_names_row(self):
         with pytest.raises(ShapeMismatch, match="row 1: label 7"):
-            softmax_cross_entropy(Tensor.zeros((2, 3, 1, 1)), [0, 7])
+            softmax_cross_entropy(Tensor.zeros((2, 1, 1, 3)), [0, 7])
 
     def test_negative_label_rejected(self):
         with pytest.raises(ShapeMismatch, match="label -1"):
-            softmax_cross_entropy(Tensor.zeros((1, 3, 1, 1)), [-1])
+            softmax_cross_entropy(Tensor.zeros((1, 1, 1, 3)), [-1])
 
     def test_first_of_several_bad_rows_is_named(self):
         with pytest.raises(ShapeMismatch, match=r"^row 2: label 3 out of range \[0, 3\)$"):
-            softmax_cross_entropy(Tensor.zeros((5, 3, 1, 1)), [0, 2, 3, -1, 9])
+            softmax_cross_entropy(Tensor.zeros((5, 1, 1, 3)), [0, 2, 3, -1, 9])
 
 
 class TestAccuracy:
     def test_simple(self):
-        z = np.array([[1.0, 2.0], [5.0, 1.0], [0.0, 3.0]]).reshape(3, 2, 1, 1)
+        z = np.array([[1.0, 2.0], [5.0, 1.0], [0.0, 3.0]]).reshape(3, 1, 1, 2)
         assert top1_accuracy(Tensor(z), [1, 0, 0]) == pytest.approx(2.0 / 3.0)
 
     def test_tie_goes_to_lowest_index(self):
-        z = Tensor.zeros((1, 4, 1, 1))
+        z = Tensor.zeros((1, 1, 1, 4))
         assert top1_accuracy(z, [0]) == 1.0
         assert top1_accuracy(z, [1]) == 0.0
 

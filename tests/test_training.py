@@ -12,11 +12,12 @@ import pytest
 
 from helpers import (
     ACCEPTANCE_BACKBONE,
+    channels_last_conv2d_backward,
+    channels_last_conv2d_forward,
     finite_diff,
     random_spec_text,
+    reference_pass,
     rel_err,
-    tensordot_conv2d_backward,
-    tensordot_conv2d_forward,
 )
 
 import mhforge.training as training_mod
@@ -368,6 +369,125 @@ def spy_weight_grads(monkeypatch, names):
             return result
         monkeypatch.setattr(training_mod, op, spy)
     return calls
+
+
+# an fc over a conv output and one over a pool output, both with H*W > 1; c1's output gets two gradients
+FC_ON_SPATIAL = """\
+input name=img shape=2x7x6
+conv name=c1 in=img out_channels=3 kernel=3 stride=1 pad=1
+fc name=head_kind in=c1 out=3 head=kind in_features=126
+loss name=loss_kind in=head_kind label=kind
+accuracy name=acc_kind in=head_kind label=kind
+relu name=r1 in=c1
+maxpool name=p1 in=r1 kernel=2 stride=2
+fc name=head_spot in=p1 out=2 head=spot in_features=27
+loss name=loss_spot in=head_spot label=spot weight=0.5
+accuracy name=acc_spot in=head_spot label=spot
+"""
+
+THREE_CHANNELS = """\
+input name=img shape=3x11x9
+conv name=c1 in=img out_channels=4 kernel=3 stride=2 pad=1
+relu name=r1 in=c1
+maxpool name=p1 in=r1 kernel=3 stride=1
+conv name=c2 in=p1 out_channels=5 kernel=2 stride=1 pad=0
+relu name=r2 in=c2
+gavgpool name=g in=r2
+"""
+
+
+class TestChannelsLastMatchesNchwReference:
+    """A pass's logits and every gradient equal, bit for bit, those of an NCHW pass built from the oracles
+    (helpers.reference_pass: tensordot conv, the reference maxpool, an NCHW gavgpool and fc flatten).
+
+    The specs cross each place the channels-last activations meet NCHW: a three-channel image batch, an fc
+    over a spatial conv or pool output, and gavgpool, on the acceptance backbone too. Every layer trains,
+    so backward_multi returns every weight and bias gradient.
+    """
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize(
+        "text", [FC_ON_SPATIAL, THREE_CHANNELS, ACCEPTANCE_BACKBONE], ids=["fc_on_spatial", "three_channels", "acceptance"]
+    )
+    def test_logits_and_gradients(self, text, n):
+        spec = parse_netspec(text)
+        spec = bind_categories(spec, CATS) if spec.heads() else attach_heads(spec, CATS, spec.layers[-1].name)
+        bundle = training_only(new_bundle(spec, seed=n), {l.name for l in spec.layers})
+        rng = np.random.default_rng(n)
+        for p in bundle.params.values():
+            p.bias[:] = rng.uniform(-0.5, 0.5, p.bias.shape)
+        images = rng.uniform(0, 1, (n, *spec.input_shape))
+        labels = {"kind": rng.integers(0, 3, n), "spot": rng.integers(0, 2, n)}
+
+        state = forward_all(bundle, Tensor(images), backward_plan(bundle))
+        seeds = loss_grads(bundle, state, labels)
+        want_logits, want_grads = reference_pass(bundle, images, seeds)
+        for cat, logits in want_logits.items():
+            assert state.heads[cat].shape == (n, 1, 1, logits.shape[1])
+            assert state.heads[cat].data.tobytes() == logits.tobytes(), cat
+        got = backward_multi(bundle, state, seeds)
+        assert set(got) == set(want_grads) == set(bundle.params)
+        for name, (gw, gb) in want_grads.items():
+            assert got[name][0].data.tobytes() == gw.tobytes(), name
+            assert got[name][1].tobytes() == gb.tobytes(), name
+
+
+class TestInPlaceRelu:
+    """A relu writes into its input where nothing reads that input after it: not a kept activation, the
+    image batch or a head's logits."""
+
+    @staticmethod
+    def spy_relu(monkeypatch):
+        """Records (in_place, returned its input) per relu call."""
+        calls = []
+        relu = training_mod.relu
+
+        def spy(x, **kwargs):
+            out = relu(x, **kwargs)
+            calls.append((kwargs.get("in_place", False), out is x))
+            return out
+
+        monkeypatch.setattr(training_mod, "relu", spy)
+        return calls
+
+    def test_finetune_shaped_plan_overwrites_c1_and_keeps_what_backward_reads(self, monkeypatch):
+        bundle = new_bundle(finetune_shaped_spec(), seed=0)
+        images = Tensor(np.random.default_rng(6).uniform(0, 1, (4, 1, 34, 34)))
+        ref = forward_keeping_everything(bundle, images)  # keeps every activation and overwrites none
+        assert ref.overwrites == frozenset()
+        calls = self.spy_relu(monkeypatch)
+
+        plan = backward_plan(bundle)
+        state = forward_all(bundle, images, plan)
+        # r1 overwrites c1's output; r2 leaves c2's, which relu_backward reads
+        assert state.overwrites == {"r1"} and "c2" in plan.keeps
+        assert calls == [(True, True), (False, False)]
+        assert set(state.activations) == plan.keeps
+        for name, kept in state.activations.items():
+            assert kept.data.tobytes() == ref.activations[name].data.tobytes(), name
+        for name, pool_map in state.pool_maps.items():
+            assert pool_map.input.data.tobytes() == ref.pool_maps[name].input.data.tobytes(), name
+            assert pool_map.output.data.tobytes() == ref.pool_maps[name].output.data.tobytes(), name
+
+        calls.clear()
+        plain = forward_all(bundle, images)
+        assert plain.overwrites == {"r1", "r2"} and calls == [(True, True), (True, True)]
+        for cat, logits in ref.heads.items():
+            assert plain.heads[cat].data.tobytes() == state.heads[cat].data.tobytes() == logits.data.tobytes()
+
+    def test_the_image_batch_and_head_logits_are_never_overwritten(self, monkeypatch):
+        text = TWO_HEAD.replace("conv name=c1 in=img", "relu name=r0 in=img\nconv name=c1 in=r0")
+        text += "relu name=r_kind in=head_kind\n"
+        bundle = new_bundle(bind_categories(parse_netspec(text), CATS), seed=1)
+        bundle.params["head_kind"].bias[:] = [-1.0, 0.5, -2.0]  # the head starts at zero weights
+        images = Tensor(np.random.default_rng(8).uniform(-1, 1, (3, 1, 4, 4)))
+        pixels = images.data.copy()
+        calls = self.spy_relu(monkeypatch)
+        state = forward_all(bundle, images)
+        assert state.overwrites == {"r1"}
+        assert calls == [(False, False), (True, True), (False, False)]
+        assert images.data.tobytes() == pixels.tobytes()
+        assert (state.heads["kind"].data < 0).any()
 
 
 class TestBackwardPlan:
@@ -1134,7 +1254,8 @@ class TestRasterPasses:
 
 class TestModelBytesMatchTensordotConv:
     """Two epochs of training write the same model file with the GEMM convolution as with
-    the tensordot convolution it replaced; the float64 parameters are equal bit for bit too."""
+    the tensordot convolution it replaced; the float64 parameters are equal bit for bit too.
+    The NCHW oracle stands in for the channels-last op through layout copies."""
 
     @pytest.fixture(scope="class")
     def synthetic(self, tmp_path_factory):
@@ -1159,7 +1280,10 @@ class TestModelBytesMatchTensordotConv:
         got = self.trained(spec, entries, tmp_path / "gemm.mhf")
 
         calls = []
-        for op, ref in (("conv2d_forward", tensordot_conv2d_forward), ("conv2d_backward", tensordot_conv2d_backward)):
+        for op, ref in (
+            ("conv2d_forward", channels_last_conv2d_forward),
+            ("conv2d_backward", channels_last_conv2d_backward),
+        ):
             monkeypatch.setattr(training_mod, op, lambda *a, op=op, ref=ref, **kw: calls.append(op) or ref(*a, **kw))
         want = self.trained(spec, entries, tmp_path / "tensordot.mhf")
 
