@@ -101,15 +101,10 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     input_shape: Shape3
     categories: LabelCategories | None = None
-    # per layer: the outputs no later layer reads, so a forward pass is done with them once it has run
-    last_reads: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        last_read = {name: i for i, lay in enumerate(self.layers) for name in (lay.name, *lay.inputs)}
-        done: list[list[str]] = [[] for _ in self.layers]
-        for name, i in last_read.items():
-            done[i].append(name)
-        object.__setattr__(self, "last_reads", tuple(map(tuple, done)))
+    # kept set -> the forward-pass program `training` builds for this spec on first use: one step per layer
+    # that produces a tensor. The loss and accuracy sinks describe training and scoring and are not pass
+    # steps. Not compared, hashed, printed or serialized; dataclasses.replace starts an empty one.
+    pass_programs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def layer(self, name: str) -> LayerSpec:
         for lay in self.layers:

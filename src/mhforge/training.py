@@ -4,7 +4,10 @@ A forward pass (`forward_all`) computes every head's logits and nothing
 else. Every head is scored after the pass, in one function, `score_heads`:
 its mean loss, its accuracy and its loss-weighted logit gradient, the weight
 taken from the spec's `loss` line for that head. Training batches,
-validation and `evaluate` all score through it.
+validation and `evaluate` all score through it, so the `loss` and `accuracy`
+lines describe training and scoring and are not pass steps. A pass runs the
+spec's program for what it keeps (`_pass_program`, built once per kept set
+and held in the spec's `pass_programs`): one step per tensor-producing layer.
 
 Gradients for all heads are accumulated in a single reverse sweep, which is
 elementwise equal to running one backward pass per loss and summing. Frozen
@@ -19,7 +22,7 @@ layers' inputs, a maxpool's record where that pool's backward runs, and a
 trainable conv's patch matrix for its weight gradient. Every other pass
 (validation, evaluation, prediction) runs under `NO_BACKWARD` and drops each
 activation after its last reader. A relu whose input nothing reads after it
-writes into that input (`ForwardState.overwrites`).
+writes into that input (`PassProgram.overwrites`).
 
 Inside a pass every activation is channels-last, (N, H, W, C); the `input`
 layer turns the NCHW image batch into that layout, a reshape when C = 1
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from .dataset import ManifestEntry, epoch_order, scale
 from .dataset import load_rasters as load_images
 from .errors import MhforgeError
 from .modelfile import ModelBundle
+from .netspec import validate_shapes
 from .surgery import HcLabelMap, convert_manifest_hc, hc_categories, hc_scores
 from .tensor_ops import (
     SEED_MASK,
@@ -142,7 +147,7 @@ class ForwardState:
     pool_maps: dict[str, PoolIndexMap]
     patches: dict[str, np.ndarray]
     heads: dict[str, Tensor]  # category -> its head's logits, (N, 1, 1, F)
-    overwrites: frozenset[str] = frozenset()  # relu layers that write into their input (see _overwrites)
+    overwrites: frozenset[str] = frozenset()  # relu layers that write into their input (see _pass_program)
 
 
 def _conv_forward(bundle, state, lay, x):
@@ -167,17 +172,14 @@ def _maxpool_forward(bundle, state, lay, x):
     return out
 
 
-def _metric_sink(bundle, state, lay, x):
-    return None
-
-
-# kind -> (forward, backward). forward(bundle, state, lay, x) returns the output, None for a metric
-# sink (`loss`, `accuracy`: every head is scored after the pass, by score_heads); backward(bundle,
-# state, lay, x, grad_out, input_grad) returns the input gradient (None when input_grad is false and
-# the kind has parameters), then the weight and bias gradients of a parameterised kind, None (and not
-# computed) where the layer is frozen. Ops are looked up by name at
-# each call, never stored, so the function this module's attribute holds at call time (a tracer's
-# wrapper, say) is what runs.
+# kind -> (forward, backward), for every kind that produces a tensor. The metric sinks (`loss`,
+# `accuracy`) have no row: they describe training and scoring (score_heads, after the pass) and are
+# not pass steps. forward(bundle, state, lay, x) returns the output; backward(bundle, state, lay, x,
+# grad_out, input_grad) returns the input gradient (None when input_grad is false and the kind has
+# parameters), then the weight and bias gradients of a parameterised kind, None (and not computed)
+# where the layer is frozen. The tensor ops these call are looked up by name at each call, never
+# stored, so the function this module's attribute holds at call time (a tracer's wrapper, say) is
+# what runs, also in a pass program built before the wrapper was installed.
 _LAYER_OPS = {
     # the NCHW image batch, channels-last: a view of the caller's array when C = 1
     "input": (lambda bundle, state, lay, x: Tensor(x.data.transpose(0, 2, 3, 1)), None),
@@ -206,8 +208,6 @@ _LAYER_OPS = {
             x, bundle.params[lay.name], g, input_grad=input_grad, weight_grad=lay.name in state.plan.trains
         ),
     ),
-    "loss": (_metric_sink, None),
-    "accuracy": (_metric_sink, None),
 }
 
 
@@ -232,42 +232,52 @@ def backward_plan(bundle: ModelBundle) -> BackwardPlan:
     return BackwardPlan(trains, reach, frozenset(runs), keeps_patches, keeps)
 
 
-def _overwrites(spec, plan: BackwardPlan) -> frozenset[str]:
-    """The relu layers that may write into their input: its last reader, where the plan's backward does not keep it.
+class PassProgram(NamedTuple):
+    """A forward pass over one spec that keeps one set of activations, as `forward_all` runs it (`_pass_program`)."""
 
-    Never the image batch, which may be a view of the caller's array, nor a
-    head's logits, which the pass hands back.
+    steps: tuple  # per layer that produces a tensor: (forward op, layer, input name or None, names dropped after it)
+    overwrites: frozenset[str]  # relu layers that write into their input
+
+
+def _pass_program(spec, keeps: frozenset[str]) -> PassProgram:
+    """One step per layer that produces a tensor, in spec order; a metric sink is not a step.
+
+    A step's input is None for the image batch; after it, the pass drops each
+    name no later step reads and `keeps` does not hold. A relu that reads its
+    input last writes into it, unless `keeps` holds it or it is the image
+    batch (maybe the caller's array) or a head's logits, which the pass returns.
     """
-    held = plan.keeps.union(lay.name for lay in spec.layers if not lay.inputs or lay.head_tag is not None)
-    return frozenset(
-        lay.name
-        for lay, done in zip(spec.layers, spec.last_reads)
-        if lay.kind == "relu" and lay.inputs[0] in done and lay.inputs[0] not in held
-    )
+    produces = validate_shapes(spec)  # every layer but the metric sinks, whose kinds have no output shape
+    layers = [lay for lay in spec.layers if lay.name in produces]
+    last = {name: i for i, lay in enumerate(layers) for name in (lay.name, *lay.inputs)}
+    dropped = [tuple(name for name, j in last.items() if j == i and name not in keeps) for i in range(len(layers))]
+    last_readers = [lay for lay, d in zip(layers, dropped) if lay.kind == "relu" and lay.inputs[0] in d]
+    spared = {lay.name for lay in layers if not lay.inputs or lay.head_tag is not None}  # the image batch, the heads
+    steps = tuple((_LAYER_OPS[l.kind][0], l, l.inputs[0] if l.inputs else None, d) for l, d in zip(layers, dropped))
+    return PassProgram(steps, frozenset(lay.name for lay in last_readers if lay.inputs[0] not in spared))
 
 
 def forward_all(bundle: ModelBundle, images: Tensor, plan: BackwardPlan = NO_BACKWARD) -> ForwardState:
     """Runs the graph once over (N, C, H, W) images and holds each head's logits; scores nothing (see score_heads).
 
-    Keeps what `plan`'s backward reads; every other activation is dropped
-    after the last layer that reads it, or overwritten by a relu that reads
-    it last. A pass that backward_multi follows needs the bundle's
-    `backward_plan`.
+    Runs the spec's pass program for the activations `plan`'s backward reads
+    (`_pass_program`): it keeps those, and drops or lets a relu overwrite
+    every other one after its last reader. A pass that backward_multi
+    follows needs the bundle's `backward_plan`.
     """
     spec = bundle.spec
     _, c, h, w = images.shape
     if (c, h, w) != spec.input_shape:
         raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    state = ForwardState(plan, {}, {}, {}, {}, _overwrites(spec, plan))
+    program = spec.pass_programs.get(plan.keeps)
+    if program is None:
+        program = spec.pass_programs[plan.keeps] = _pass_program(spec, plan.keeps)
+    state = ForwardState(plan, {}, {}, {}, {}, program.overwrites)
     activations = state.activations
-    for lay, done in zip(spec.layers, spec.last_reads):
-        x = activations[lay.inputs[0]] if lay.inputs else images
-        out = _LAYER_OPS[lay.kind][0](bundle, state, lay, x)
-        if out is not None:
-            activations[lay.name] = out
-        for name in done:
-            if name not in plan.keeps:
-                activations.pop(name, None)  # a metric sink stored nothing
+    for op, lay, src, dropped in program.steps:
+        activations[lay.name] = op(bundle, state, lay, images if src is None else activations[src])
+        for name in dropped:
+            del activations[name]
     return state
 
 
@@ -286,14 +296,10 @@ def backward_multi(
     plan = state.plan
     if plan is NO_BACKWARD:
         raise TrainError("backward_multi needs a forward pass run with the bundle's backward_plan")
-    out_grads: dict[str, np.ndarray] = {}
     param_grads: dict[str, tuple[Tensor, np.ndarray]] = {}
-
-    head_layers = {lay.head_tag: lay.name for lay in bundle.spec.heads()}
-    for cat, g in head_grads.items():
-        name = head_layers[cat]
-        g = np.asarray(g, dtype=np.float64).reshape(state.heads[cat].shape)
-        out_grads[name] = out_grads[name] + g if name in out_grads else g
+    heads = {lay.head_tag: lay.name for lay in bundle.spec.heads()}
+    # one head per category, so each seed is its head's whole output gradient
+    out_grads = {heads[c]: np.asarray(g, dtype=np.float64).reshape(state.heads[c].shape) for c, g in head_grads.items()}
 
     for lay in reversed(bundle.spec.layers):
         if lay.name not in plan.runs or lay.name not in out_grads:

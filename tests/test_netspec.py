@@ -1,4 +1,4 @@
-"""Parser, shape validator, serializer round-trips, liveness, and category binding."""
+"""Parser, shape validator, serializer round-trips, liveness (through training's pass program), and category binding."""
 
 import dataclasses
 
@@ -16,7 +16,9 @@ from mhforge.netspec import (
     serialize_netspec,
     validate_shapes,
 )
-from mhforge.tensor_ops import glorot_uniform, he_normal
+from mhforge.modelfile import new_bundle
+from mhforge.tensor_ops import Tensor, glorot_uniform, he_normal
+from mhforge.training import _pass_program, forward_all
 
 from helpers import random_spec_text
 
@@ -219,17 +221,40 @@ class TestSerialize:
 
 
 class TestLastReads:
+    """Liveness as the pass program `training` builds for a spec states it, in the spec's `pass_programs` slot."""
+
+    @staticmethod
+    def dropped(spec, keeps=frozenset()):
+        return tuple(d for _, _, _, d in _pass_program(spec, keeps).steps)
+
     def test_tinynet(self):
-        # each output is done with at its last reader; an output nothing reads, at its own layer
+        # each output is done with at its last reader; an output nothing reads, at its own layer.
+        # The loss and accuracy sinks are not steps, so a head is done with at once.
         spec = parse_netspec(TINYNET)
+        steps = _pass_program(spec, frozenset()).steps
+        assert [lay.name for _, lay, _, _ in steps] == [l.name for l in spec.layers if l.kind not in ("loss", "accuracy")]
+        assert [src for _, _, src, _ in steps] == [None, "data", "c1", "r1", "p1", "c2", "r2", "p2", "g", "g"]
         backbone = ((), ("data",), ("c1",), ("r1",), ("p1",), ("c2",), ("r2",), ("p2",))
-        sinks = (("loss_make",), ("loss_type",), ("head_make", "acc_make"), ("head_type", "acc_type"))
-        assert spec.last_reads == backbone + ((), ("g",)) + sinks
+        assert self.dropped(spec) == backbone + (("head_make",), ("g", "head_type"))
+        # a kept output is never dropped
+        assert self.dropped(spec, frozenset({"c1", "g"})) == (
+            (), ("data",), (), ("r1",), ("p1",), ("c2",), ("r2",), ("p2",), ("head_make",), ("head_type",)
+        )
 
     def test_replace_recomputes(self):
         spec = parse_netspec(TINYNET)
+        forward_all(new_bundle(spec, seed=0), Tensor.zeros((1, 3, 32, 32)))
+        assert set(spec.pass_programs) == {frozenset()}
         trunk = dataclasses.replace(spec, layers=spec.layers[:8])
-        assert trunk.last_reads == ((), ("data",), ("c1",), ("r1",), ("p1",), ("c2",), ("r2",), ("p2", "g"))
+        assert trunk.pass_programs == {}
+        forward_all(new_bundle(trunk, seed=0), Tensor.zeros((1, 3, 32, 32)))
+        assert tuple(d for _, _, _, d in trunk.pass_programs[frozenset()].steps) == (
+            (), ("data",), ("c1",), ("r1",), ("p1",), ("c2",), ("r2",), ("p2", "g")
+        )
+        # the slot is not compared, hashed, printed or serialized
+        fresh = parse_netspec(TINYNET)
+        assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+        assert serialize_netspec(spec) == serialize_netspec(fresh)
 
 
 class TestBindCategories:

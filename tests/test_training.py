@@ -141,10 +141,13 @@ class TestTrainConfig:
 
 class TestForwardAll:
     def test_every_layer_kind_has_its_ops(self):
+        # every kind that produces a tensor (has an out_shape) is a pass step with ops; the metric sinks are not
+        from mhforge.netspec import _LAYER_KINDS
         from mhforge.training import _LAYER_OPS
 
-        assert list(_LAYER_OPS) == list(KINDS)
-        assert {k for k, (_, backward) in _LAYER_OPS.items() if backward is None} == {"input", "loss", "accuracy"}
+        assert list(_LAYER_OPS) == [k for k in KINDS if _LAYER_KINDS[k].out_shape is not None]
+        assert [k for k in KINDS if k not in _LAYER_OPS] == ["loss", "accuracy"]
+        assert {k for k, (_, backward) in _LAYER_OPS.items() if backward is None} == {"input"}
 
     def test_activation_and_head_inventory(self):
         # c1 trains: backward reads the input of every layer from the heads down to c1,
@@ -304,17 +307,19 @@ class TestBackwardMulti:
         assert np.allclose(seeds["spot"], 0.5 * grad_logits["spot"])
 
 
-def forward_keeping_everything(bundle, images):
-    """The reference forward pass: keeps every activation and no patch matrix, so backward builds its own."""
+def forward_keeping_everything(bundle, images, patches=False):
+    """The reference forward pass: the program that keeps every activation, so it drops and overwrites nothing.
+
+    It keeps no patch matrix, so backward builds its own, unless `patches`: then it keeps those of the
+    bundle's plan.
+    """
     plan = training_mod.backward_plan(bundle)
-    every_layer = frozenset(l.name for l in bundle.spec.layers)
-    everything = dataclasses.replace(plan, keeps_patches=frozenset(), keeps=every_layer)
-    state = training_mod.ForwardState(everything, {}, {}, {}, {})
-    for lay in bundle.spec.layers:
-        x = state.activations[lay.inputs[0]] if lay.inputs else images
-        out = training_mod._LAYER_OPS[lay.kind][0](bundle, state, lay, x)
-        if out is not None:
-            state.activations[lay.name] = out
+    every_layer = frozenset(l.name for l in bundle.spec.layers if l.kind not in ("loss", "accuracy"))
+    everything = dataclasses.replace(plan, keeps=every_layer)
+    if not patches:
+        everything = dataclasses.replace(everything, keeps_patches=frozenset())
+    state = forward_all(bundle, images, everything)
+    assert set(state.activations) == every_layer and state.overwrites == frozenset()
     return state
 
 
@@ -453,25 +458,29 @@ class TestInPlaceRelu:
     def test_finetune_shaped_plan_overwrites_c1_and_keeps_what_backward_reads(self, monkeypatch):
         bundle = new_bundle(finetune_shaped_spec(), seed=0)
         images = Tensor(np.random.default_rng(6).uniform(0, 1, (4, 1, 34, 34)))
-        ref = forward_keeping_everything(bundle, images)  # keeps every activation and overwrites none
-        assert ref.overwrites == frozenset()
+        ref = forward_keeping_everything(bundle, images, patches=True)  # keeps every activation, overwrites none
         calls = self.spy_relu(monkeypatch)
 
         plan = backward_plan(bundle)
         state = forward_all(bundle, images, plan)
         # r1 overwrites c1's output; r2 leaves c2's, which relu_backward reads
-        assert state.overwrites == {"r1"} and "c2" in plan.keeps
+        program = bundle.spec.pass_programs[plan.keeps]
+        assert program.overwrites == state.overwrites == {"r1"} and "c2" in plan.keeps
         assert calls == [(True, True), (False, False)]
         assert set(state.activations) == plan.keeps
         for name, kept in state.activations.items():
             assert kept.data.tobytes() == ref.activations[name].data.tobytes(), name
+        assert set(state.pool_maps) == set(ref.pool_maps) == {"p2"}
         for name, pool_map in state.pool_maps.items():
             assert pool_map.input.data.tobytes() == ref.pool_maps[name].input.data.tobytes(), name
             assert pool_map.output.data.tobytes() == ref.pool_maps[name].output.data.tobytes(), name
+        assert set(state.patches) == set(ref.patches) == {"c2"}
+        assert state.patches["c2"].tobytes() == ref.patches["c2"].tobytes()
 
         calls.clear()
         plain = forward_all(bundle, images)
-        assert plain.overwrites == {"r1", "r2"} and calls == [(True, True), (True, True)]
+        assert bundle.spec.pass_programs[frozenset()].overwrites == plain.overwrites == {"r1", "r2"}
+        assert calls == [(True, True), (True, True)]
         for cat, logits in ref.heads.items():
             assert plain.heads[cat].data.tobytes() == state.heads[cat].data.tobytes() == logits.data.tobytes()
 
@@ -488,6 +497,108 @@ class TestInPlaceRelu:
         assert calls == [(False, False), (True, True), (False, False)]
         assert images.data.tobytes() == pixels.tobytes()
         assert (state.heads["kind"].data < 0).any()
+
+
+def variant_bundles():
+    """The acceptance backbone's deployed variants: proposed, both two_model specs and hard_coded, each with
+    random head weights and random biases (a new bundle's heads are zero)."""
+    backbone = parse_netspec(ACCEPTANCE_BACKBONE)
+    specs = {"proposed": attach_heads(backbone, CATS, "g")}
+    for spec in build_two_model(backbone, CATS, "g"):
+        specs[f"two_model_{spec.categories.names[0]}"] = spec
+    specs["hard_coded"] = build_hard_coded(backbone, CATS, [(k, s) for k in range(3) for s in range(2)], "g")[0]
+    rng = np.random.default_rng(21)
+    bundles = {}
+    for name, spec in specs.items():
+        bundles[name] = bundle = new_bundle(spec, seed=0)
+        for head in spec.heads():
+            bundle.params[head.name].weights.data[:] = rng.normal(0.0, 1.0, bundle.params[head.name].weights.shape)
+        for p in bundle.params.values():
+            p.bias[:] = rng.uniform(-0.5, 0.5, p.bias.shape)
+    return bundles
+
+
+# op name in training -> the layer kind it computes; the input layer's op is a transpose and has none
+FORWARD_OPS = {
+    "conv2d_forward": "conv",
+    "relu": "relu",
+    "maxpool2d": "maxpool",
+    "global_avgpool": "gavgpool",
+    "fully_connected": "fc",
+}
+
+
+class TestPassProgram:
+    """A pass runs its spec's program: one step per layer that produces a tensor, built once per kept set."""
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_head_logits_equal_the_whole_network_reference(self, n):
+        images = np.random.default_rng(n).uniform(0, 1, (n, 1, 34, 34))
+        bundles = variant_bundles()
+        assert len(bundles) == 4
+        for name, bundle in bundles.items():
+            want, _ = reference_pass(bundle, images, {})
+            heads = forward_all(bundle, Tensor(images)).heads
+            assert set(heads) == set(want) == set(bundle.spec.categories.names), name
+            for cat, logits in want.items():
+                assert heads[cat].data.tobytes() == logits.tobytes(), (name, cat)
+            for ids, cat in zip(predict_ids(bundle, Tensor(images)), bundle.spec.categories.names):
+                assert np.array_equal(ids, want[cat].argmax(axis=1)), (name, cat)
+
+    def test_one_forward_op_per_layer_that_produces_a_tensor_and_none_for_the_sinks(self, monkeypatch):
+        bundle = variant_bundles()["proposed"]
+        spec = bundle.spec
+        images = Tensor(np.random.default_rng(2).uniform(0, 1, (2, 1, 34, 34)))
+        plans = (training_mod.NO_BACKWARD, backward_plan(bundle))
+        for plan in plans:  # the programs exist before the spies do: ops are looked up at each call
+            forward_all(bundle, images, plan)
+        calls = []
+        for attr, kind in FORWARD_OPS.items():
+            def spy(*args, op=getattr(training_mod, attr), kind=kind, **kwargs):
+                calls.append(kind)
+                return op(*args, **kwargs)
+            monkeypatch.setattr(training_mod, attr, spy)
+
+        def scorer(*args, **kwargs):
+            raise AssertionError("a forward pass scored a head")
+
+        monkeypatch.setattr(training_mod, "softmax_cross_entropy", scorer)
+        monkeypatch.setattr(training_mod, "top1_accuracy", scorer)
+        tensor_layers = [l for l in spec.layers if l.kind not in ("loss", "accuracy")]
+        assert (len(spec.layers), len(tensor_layers)) == (14, 10)
+        for plan in plans:
+            calls.clear()
+            forward_all(bundle, images, plan)
+            assert calls == [l.kind for l in tensor_layers if l.kind != "input"]
+            assert [lay for _, lay, _, _ in spec.pass_programs[plan.keeps].steps] == tensor_layers
+
+    def test_ten_predictions_build_one_program_and_a_replaced_spec_builds_its_own(self, monkeypatch):
+        bundle = variant_bundles()["proposed"]
+        images = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 1, 34, 34)))
+        built = []
+        build = training_mod._pass_program
+
+        def counting(spec, keeps):
+            built.append((spec, keeps))
+            return build(spec, keeps)
+
+        monkeypatch.setattr(training_mod, "_pass_program", counting)
+        first = predict_ids(bundle, images)
+        for _ in range(9):
+            assert [a.tobytes() for a in predict_ids(bundle, images)] == [a.tobytes() for a in first]
+        assert len(built) == 1 and built[0][0] is bundle.spec and built[0][1] == frozenset()
+        assert set(bundle.spec.pass_programs) == {frozenset()}
+
+        replaced = ModelBundle(dataclasses.replace(bundle.spec, categories=bundle.spec.categories), bundle.params)
+        assert replaced.spec == bundle.spec and replaced.spec.pass_programs == {}
+        predict_ids(replaced, images)
+        assert len(built) == 2 and built[1][0] is replaced.spec
+
+        # a training pass keeps what its backward reads: its own program, also built once
+        plan = backward_plan(bundle)
+        for _ in range(3):
+            forward_all(bundle, images, plan)
+        assert len(built) == 3 and set(bundle.spec.pass_programs) == {frozenset(), plan.keeps}
 
 
 class TestBackwardPlan:
@@ -511,6 +622,10 @@ class TestBackwardPlan:
                 state = forward_all(bundle, images, plan)
                 plain = forward_all(bundle, images)
                 ref = forward_keeping_everything(bundle, images)
+                # the pass ran its program's steps, one per layer that produces a tensor, and kept what plan keeps
+                steps = bundle.spec.pass_programs[plan.keeps].steps
+                assert [lay for _, lay, _, _ in steps] == [l for l in bundle.spec.layers if l.name in ref.activations]
+                assert set(state.activations) == plan.keeps, where
                 kept, dropped = score_heads(bundle, state.heads, labels), score_heads(bundle, plain.heads, labels)
                 for cat, (loss, _, _) in score_heads(bundle, ref.heads, labels).items():
                     assert np.float64(kept[cat][0]).tobytes() == np.float64(loss).tobytes(), (where, cat)
