@@ -1,4 +1,4 @@
-"""Dense 4-D tensor arithmetic: forward and backward math for every supported layer kind.
+"""Dense 4-D tensor arithmetic: forward and backward math for every supported layer kind, and head scoring.
 
 All arithmetic runs in float64. Activations are channels-last, (N, H, W, C):
 a conv's GEMM writes its output rows in that layout, so no op transposes them
@@ -116,17 +116,18 @@ def _patch_index(c: int, h: int, w: int, k: int, stride: int, pad: int) -> np.nd
 
     The row is the image's channels-last H*W*C values followed by one 0.0; an
     entry that falls on the zero padding points at that trailing zero,
-    position H*W*C. The columns stay in (c, kh, kw) order.
+    position H*W*C. The columns stay in (c, kh, kw) order. It is a view of its
+    `base`, the same indices writeable: np.take copies a read-only index.
     """
     hout, wout = window_out_dim(h, k, stride, pad), window_out_dim(w, k, stride, pad)
     ch = np.arange(c)[None, None, :, None, None]
     row = np.arange(hout)[:, None, None, None, None] * stride + np.arange(k)[:, None] - pad
     col = np.arange(wout)[None, :, None, None, None] * stride + np.arange(k) - pad
     inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
-    index = np.where(inside, (row * w + col) * c + ch, h * w * c).astype(np.intp)
-    index = index.reshape(hout * wout, c * k * k)
-    index.flags.writeable = False
-    return index
+    index = np.where(inside, (row * w + col) * c + ch, h * w * c).reshape(hout * wout, c * k * k).astype(np.intp)
+    view = index.view()
+    view.flags.writeable = False
+    return view
 
 
 def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout: int) -> np.ndarray:
@@ -138,14 +139,14 @@ def _patch_matrix(x: np.ndarray, k: int, stride: int, pad: int, hout: int, wout:
     kernel at stride 1 on one image, tensordot reshapes the view without a copy
     and multiplies a column-major matrix instead.) Filled by one gather: each
     image is copied once into a flat row that ends in a 0.0, and np.take reads
-    the row at `_patch_index`, built once per input geometry; padding reads the
-    trailing zero.
+    the row at `_patch_index`'s base, built once per input geometry; padding
+    reads the trailing zero.
     """
     n, h, w, c = x.shape
     rows = np.empty((n, h * w * c + 1))
     rows[:, :-1] = x.reshape(n, -1)
     rows[:, -1] = 0.0
-    return np.take(rows, _patch_index(c, h, w, k, stride, pad), axis=1).reshape(n * hout * wout, c * k * k)
+    return np.take(rows, _patch_index(c, h, w, k, stride, pad).base, axis=1).reshape(n * hout * wout, c * k * k)
 
 
 def conv2d_forward(
@@ -389,11 +390,12 @@ def _logits_2d(logits: Tensor) -> np.ndarray:
     return logits.data.reshape(n, f)
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean negative log-likelihood over the batch.
+def score_logits(logits: Tensor, labels) -> tuple[float, float, np.ndarray]:
+    """(mean negative log-likelihood, top-1 accuracy, logit gradient) of a batch of logits against its labels.
 
-    Softmax uses max-subtraction so huge logits cannot overflow. Returns
-    (loss, probs, grad_logits) with grad_logits = (probs - onehot) / N.
+    The labels are converted and range-checked once. The softmax, taken after
+    subtracting each row's max so huge logits cannot overflow, becomes the
+    gradient (probs - onehot) / N in place. Argmax ties go to the lowest index.
     """
     z = _logits_2d(logits)
     n, f = z.shape
@@ -405,25 +407,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, np.ndarray, np
         row = int(outside.argmax())  # the first offending row
         raise ShapeMismatch(f"row {row}: label {lab[row]} out of range [0, {f})")
     shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    probs = ez / ez.sum(axis=1, keepdims=True)
+    grad = np.exp(shifted)
+    total = grad.sum(axis=1, keepdims=True)
     idx = np.arange(n)
     # log(p) via the shifted logits directly, avoiding log(exp(...)) rounding
-    logp = shifted[idx, lab] - np.log(ez.sum(axis=1))
-    loss = float(-logp.mean())
-    grad = probs.copy()
+    loss = float(-(shifted[idx, lab] - np.log(total[:, 0])).mean())
+    grad /= total
     grad[idx, lab] -= 1.0
     grad /= n
-    return loss, probs, grad
-
-
-def top1_accuracy(logits: Tensor, labels) -> float:
-    """Fraction of rows whose argmax equals the label; argmax ties go to the lowest index."""
-    z = _logits_2d(logits)
-    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if lab.shape[0] != z.shape[0]:
-        raise ShapeMismatch(f"got {lab.shape[0]} labels for batch of {z.shape[0]}")
-    return float((z.argmax(axis=1) == lab).mean())
+    return loss, float((z.argmax(axis=1) == lab).mean()), grad
 
 
 def he_normal(rng: np.random.Generator, shape: Shape4) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Multi-loss training: one shared forward traversal, per-head losses, accumulated gradients.
 
 A forward pass (`forward_all`) computes every head's logits and nothing
-else. Every head is scored after the pass, in one function, `score_heads`:
-its mean loss, its accuracy and its loss-weighted logit gradient, the weight
-taken from the spec's `loss` line for that head. Training batches,
+else. Every head is scored after the pass, in one function, `score_heads`,
+one `tensor_ops.score_logits` call per `loss` line: its mean loss, its
+accuracy and its logit gradient, times that line's weight. Training batches,
 validation and `evaluate` all score through it, so the `loss` and `accuracy`
 lines describe training and scoring and are not pass steps. A pass runs the
 spec's program for what it keeps (`_pass_program`, built once per kept set
@@ -35,12 +35,11 @@ arrays, under the plan) and validation and `evaluate` (one NO_BACKWARD pass
 per EVAL_CHUNK images). `train` scores each batch against its rows' labels,
 and `_add` sums every head's batch-weighted loss and accuracy. Validation
 and `evaluate` keep each pass's head logits and score every head once over
-the whole set; an `evaluate` given an HC map also decodes the merged head's
-logits of the whole set into per-category scores (`surgery.hc_scores`). The
-images and label columns of both split sides and of `evaluate` come from one
-step, `_arrays`, which picks each model category's column of the manifest's
-labels. Those image sets are held as their 8-bit rasters; each pass scales
-its own rows to float64 pixels (`dataset.scale`).
+the whole set; given an HC map, `evaluate` decodes the merged head's logits
+into per-category scores (`surgery.hc_scores`). The images and label columns
+of both split sides and of `evaluate` come from one step, `_arrays`, which
+picks each model category's column of the manifest's labels. The image sets
+are 8-bit rasters; each pass scales its own rows to float64 (`dataset.scale`).
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ from .tensor_ops import (
     maxpool2d_backward,
     relu,
     relu_backward,
-    softmax_cross_entropy,
-    top1_accuracy,
+    score_logits,
 )
 
 
@@ -328,8 +326,8 @@ def score_heads(
         cat = lay.label_slot
         if cat not in labels:
             raise TrainError(f"no labels for category {cat!r}")
-        loss, _, grad = softmax_cross_entropy(heads[cat], labels[cat])
-        scores[cat] = (loss, top1_accuracy(heads[cat], labels[cat]), lay.loss_weight * grad)
+        loss, accuracy, grad = score_logits(heads[cat], labels[cat])
+        scores[cat] = (loss, accuracy, lay.loss_weight * grad)
     return scores
 
 
@@ -475,30 +473,17 @@ def _means(sums: dict[str, list[float]], n: int) -> tuple[dict[str, float], dict
     return {c: loss / n for c, (loss, _) in sums.items()}, {c: hits / n for c, (_, hits) in sums.items()}
 
 
-def _evaluate_arrays(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str, np.ndarray], hc=None):
-    """Per category, the mean loss and the mean accuracy over the rasters' images.
+def _evaluate_arrays(bundle: ModelBundle, rasters: np.ndarray, labels: dict[str, np.ndarray]):
+    """Per head, the mean loss and the mean accuracy over the rasters' images; then each head's logits of them all.
 
     The forward passes take EVAL_CHUNK images each and keep only the heads'
-    logits; every category is then scored once over the whole set, so the
-    result does not depend on the pass size. The categories are the heads'
-    and, given `hc` (an HC map, the images' true label tuples and their
-    categories' names), each of those, scored on the one merged head's
-    decoded predictions (`surgery.hc_scores`). Where a head shares a decoded
-    category's name, the head's scores are kept.
+    logits; every head is then scored once over the whole set, so the result
+    does not depend on the pass size.
     """
-    n = rasters.shape[0]
     states = [state for _, state in _passes(bundle, rasters)]  # a NO_BACKWARD state keeps only its heads
     logits = {c: Tensor(np.concatenate([s.heads[c].data for s in states])) for c in bundle.spec.categories.names}
-    loss, acc = {}, {}
-    hc_map, truth, names = hc or (None, None, ())
-    if hc_map is not None:
-        (merged,) = logits.values()
-        nll, hits = hc_scores(hc_map, merged.data.reshape(n, -1), truth)
-        loss, acc = dict(zip(names, nll / n)), dict(zip(names, hits / n))
     scores = score_heads(bundle, logits, labels)
-    for c in logits:
-        loss[c], acc[c], _ = scores[c]
-    return loss, acc
+    return {c: loss for c, (loss, _, _) in scores.items()}, {c: acc for c, (_, acc, _) in scores.items()}, logits
 
 
 def train(
@@ -545,7 +530,7 @@ def train(
                 sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
                 _add(sums, scores, len(rows))
             if val is not None:
-                val_loss, val_acc = _evaluate_arrays(bundle, *val)
+                val_loss, val_acc, _ = _evaluate_arrays(bundle, *val)
                 _check_finite(val_loss, f"epoch {epoch}, validation")
             else:
                 val_loss = val_acc = dict.fromkeys(cats.names, float("nan"))
@@ -565,16 +550,21 @@ def evaluate(
     category's scores and, per manifest category, those of the decoded
     predictions (`surgery.hc_scores`).
     """
-    hc = None
     if hc_map is not None:
         if hc_categories(manifest_categories, hc_map) != bundle.spec.categories:
             raise TrainError("HC map does not match the model: its combinations are not the model's classes, in order")
         converted = convert_manifest_hc(entries, hc_map)  # an unobserved combination names its image
-        hc = (hc_map, np.array([e.labels for e in entries], dtype=np.int64), manifest_categories.names)
+        truth, names = np.array([e.labels for e in entries], dtype=np.int64), manifest_categories.names
         entries, manifest_categories = converted, None
     full_cats = _manifest_view(bundle, entries, manifest_categories)
-    loss, acc = _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories), hc)
-    return {c: (loss[c], acc[c]) for c in loss}
+    loss, acc, logits = _evaluate_arrays(bundle, *_arrays(entries, full_cats, bundle.spec.categories))
+    scores = {c: (loss[c], acc[c]) for c in loss}
+    if hc_map is None:
+        return scores
+    n = len(entries)
+    (merged,) = logits.values()
+    nll, hits = hc_scores(hc_map, merged.data.reshape(n, -1), truth)
+    return {**dict(zip(names, zip(nll / n, hits / n))), **scores}  # a head keeps its own name's scores
 
 
 def predict_ids(bundle: ModelBundle, images: Tensor) -> tuple[np.ndarray, ...]:

@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: plain Python loops,
 one arithmetic step per line, no numpy vectorization tricks. The
 exceptions are the tensordot convolution, kept as the bitwise reference for
 the GEMM convolution that replaced it, the strided patch-matrix fill, kept as
-the reference for the gather that replaced it, and the NCHW running-max pool,
-kept as the reference for the channels-last pool that replaced it.
+the reference for the gather that replaced it, the NCHW running-max pool,
+kept as the reference for the channels-last pool that replaced it, and the
+separate loss and accuracy ops, kept as the reference for the one scorer
+that replaced them.
 
 The oracles take and return (N, C, H, W) arrays, as the package's ops did
 before its activations went channels-last; `nhwc`, `nchw` and the
@@ -20,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mhforge.modelfile import FORMAT_VERSION, MAGIC
 from mhforge.netspec import validate_shapes
-from mhforge.tensor_ops import Tensor
+from mhforge.tensor_ops import ShapeMismatch, Tensor, _logits_2d
 
 # the backbone the acceptance pipeline builds every variant from
 ACCEPTANCE_BACKBONE = """\
@@ -333,6 +335,44 @@ def reference_pass(bundle, images, head_grads):
         src = lay.inputs[0]
         grads[src] = grads[src] + gx if src in grads else gx
     return logits, params
+
+
+def reference_softmax_cross_entropy(logits, labels):
+    """The loss op tensor_ops.score_logits replaced: (mean loss, softmax probabilities, logit gradient).
+
+    Softmax uses max-subtraction so huge logits cannot overflow; the gradient
+    is (probs - onehot) / N.
+    """
+    z = _logits_2d(logits)
+    n, f = z.shape
+    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if lab.shape[0] != n:
+        raise ShapeMismatch(f"got {lab.shape[0]} labels for batch of {n}")
+    outside = (lab < 0) | (lab >= f)
+    if outside.any():
+        row = int(outside.argmax())  # the first offending row
+        raise ShapeMismatch(f"row {row}: label {lab[row]} out of range [0, {f})")
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    idx = np.arange(n)
+    # log(p) via the shifted logits directly, avoiding log(exp(...)) rounding
+    logp = shifted[idx, lab] - np.log(ez.sum(axis=1))
+    loss = float(-logp.mean())
+    grad = probs.copy()
+    grad[idx, lab] -= 1.0
+    grad /= n
+    return loss, probs, grad
+
+
+def reference_top1_accuracy(logits, labels):
+    """The accuracy op tensor_ops.score_logits replaced: the fraction of rows whose argmax equals the label; argmax
+    ties go to the lowest index."""
+    z = _logits_2d(logits)
+    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if lab.shape[0] != z.shape[0]:
+        raise ShapeMismatch(f"got {lab.shape[0]} labels for batch of {z.shape[0]}")
+    return float((z.argmax(axis=1) == lab).mean())
 
 
 def naive_maxpool2d_backward(x, k, stride, grad_out):

@@ -8,6 +8,7 @@ ratios, coverage accounting, format stability, and report structure.
 import itertools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,8 +289,8 @@ def test_pipeline_training_reaches_accuracy_targets_on_all_variants(pipeline):
         assert prop[cat]["accuracy"] >= 0.95, f"{cat}: {prop[cat]['accuracy']}"
 
     # per seed the whole run is reproducible bit for bit
-    a = open(f"{pipeline['proposed']}/model.mhf", "rb").read()
-    b = open(f"{pipeline['rerun']}/model.mhf", "rb").read()
+    a = Path(pipeline["proposed"], "model.mhf").read_bytes()
+    b = Path(pipeline["rerun"], "model.mhf").read_bytes()
     assert a == b
 
     for variant in ("hard_coded", "two_model"):
@@ -402,7 +403,7 @@ def test_netspec_round_trip_fuzz_and_model_file_stability(pipeline, tmp_path):
             pass
 
     source = f"{pipeline['proposed']}/model.mhf"
-    original = open(source, "rb").read()
+    original = Path(source).read_bytes()
     bundle = load_model(source)
     copy = tmp_path / "copy.mhf"
     save_model(bundle, str(copy))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,8 +191,8 @@ class TestGenData:
         run_ok(["gen-data", "--out", str(other), "--image-size", "18", "--samples", "4",
                 "--noise", "0.02", "--seed", "0"])
         for name in ("manifest.txt", "img_00000.pgm", "img_00063.pgm"):
-            a = open(os.path.join(pipeline["data"], name), "rb").read()
-            b = open(os.path.join(str(other), name), "rb").read()
+            a = Path(pipeline["data"], name).read_bytes()
+            b = Path(other, name).read_bytes()
             assert a == b, name
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])

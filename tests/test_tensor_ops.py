@@ -5,6 +5,7 @@ take (N, C, H, W) arrays, so a comparison goes through `nhwc`/`nchw`.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,7 @@ from mhforge.tensor_ops import (
     maxpool2d_backward,
     relu,
     relu_backward,
-    softmax_cross_entropy,
-    top1_accuracy,
+    score_logits,
 )
 
 from helpers import (
@@ -45,6 +45,8 @@ from helpers import (
     rand_tensor,
     reference_maxpool2d,
     reference_maxpool2d_backward,
+    reference_softmax_cross_entropy,
+    reference_top1_accuracy,
     rel_err,
     strided_patch_matrix,
 )
@@ -298,6 +300,21 @@ class TestPatchMatrixMatchesStridedFill:
             other[at] += 1
             assert tensor_ops_mod._patch_index(*other) is not index, at
 
+    def test_batch_1_gather_copies_no_index(self):
+        # c2's geometry in the acceptance backbone: the index is as large as the patch matrix
+        x = np.random.default_rng(5).uniform(-1, 1, (1, 17, 17, 8))
+        index = tensor_ops_mod._patch_index(8, 17, 17, 3, 1, 1)  # built and cached before tracing
+        tracemalloc.start()
+        try:
+            out = tensor_ops_mod._patch_matrix(x, 3, 1, 1, 17, 17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_buffer = (17 * 17 * 8 + 1) * 8
+        assert out.nbytes == index.nbytes
+        assert peak < out.nbytes + row_buffer + index.nbytes // 2
+        assert out.tobytes() == strided_patch_matrix(nchw(x), 3, 1, 1, 17, 17).tobytes()
+
 
 class TestMaxpool:
     def test_2x2_example(self):
@@ -548,28 +565,41 @@ class TestFullyConnected:
         assert gx2.data.tobytes() == gx.data.tobytes()
 
 
+def softmax(z):
+    """exp / sum along the rows of an (N, F) array, with no max-subtraction: an independent softmax."""
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def onehot(labels, f):
+    out = np.zeros((len(labels), f))
+    out[np.arange(len(labels)), labels] = 1.0
+    return out
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_way_is_ln2(self):
         logits = Tensor.zeros((1, 1, 1, 2))
-        loss, probs, _ = softmax_cross_entropy(logits, [0])
+        loss, _, grad = score_logits(logits, [0])
         assert abs(loss - np.log(2.0)) < 1e-12
-        assert np.allclose(probs, 0.5)
+        assert np.allclose(grad + onehot([0], 2), softmax(np.zeros((1, 2))))
 
     def test_huge_logits_stable(self):
         logits = Tensor(np.array([1000.0, 0.0]).reshape(1, 1, 1, 2))
-        loss, probs, _ = softmax_cross_entropy(logits, [0])
+        loss, _, grad = score_logits(logits, [0])
         assert np.isfinite(loss)
         assert loss < 1e-12
+        probs = grad + onehot([0], 2)  # N = 1
+        # softmax is shift-invariant: [1000, 0] has the probabilities of [0, -1000]
+        assert np.max(np.abs(probs - softmax(np.array([[0.0, -1000.0]])))) < 1e-12
         assert abs(probs[0, 0] - 1.0) < 1e-12
 
     def test_grad_matches_probs_minus_onehot(self):
         rng = np.random.default_rng(9)
         z = rng.uniform(-2, 2, (4, 5))
         labels = [0, 3, 2, 2]
-        _, probs, grad = softmax_cross_entropy(Tensor(z.reshape(4, 1, 1, 5)), labels)
-        onehot = np.zeros((4, 5))
-        onehot[np.arange(4), labels] = 1.0
-        assert np.max(np.abs(grad - (probs - onehot) / 4.0)) < 1e-15
+        _, _, grad = score_logits(Tensor(z.reshape(4, 1, 1, 5)), labels)
+        assert np.max(np.abs(grad - (softmax(z) - onehot(labels, 5)) / 4.0)) < 1e-15
 
     def test_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -577,40 +607,84 @@ class TestSoftmaxCrossEntropy:
         labels = [1, 0, 3]
 
         def scalar():
-            loss, _, _ = softmax_cross_entropy(Tensor(z), labels)
+            loss, _, _ = score_logits(Tensor(z), labels)
             return loss
 
-        _, _, grad = softmax_cross_entropy(Tensor(z), labels)
+        _, _, grad = score_logits(Tensor(z), labels)
         assert rel_err(grad, finite_diff(scalar, z)) < 1e-6
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(17)
         z = rng.uniform(-50, 50, (8, 1, 1, 6))
-        _, probs, _ = softmax_cross_entropy(Tensor(z), [0] * 8)
+        _, _, grad = score_logits(Tensor(z), [0] * 8)
+        probs = grad * 8 + onehot([0] * 8, 6)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(probs - softmax(z.reshape(8, 6)))) < 1e-12
 
     def test_label_out_of_range_names_row(self):
         with pytest.raises(ShapeMismatch, match="row 1: label 7"):
-            softmax_cross_entropy(Tensor.zeros((2, 1, 1, 3)), [0, 7])
+            score_logits(Tensor.zeros((2, 1, 1, 3)), [0, 7])
 
     def test_negative_label_rejected(self):
         with pytest.raises(ShapeMismatch, match="label -1"):
-            softmax_cross_entropy(Tensor.zeros((1, 1, 1, 3)), [-1])
+            score_logits(Tensor.zeros((1, 1, 1, 3)), [-1])
 
     def test_first_of_several_bad_rows_is_named(self):
         with pytest.raises(ShapeMismatch, match=r"^row 2: label 3 out of range \[0, 3\)$"):
-            softmax_cross_entropy(Tensor.zeros((5, 1, 1, 3)), [0, 2, 3, -1, 9])
+            score_logits(Tensor.zeros((5, 1, 1, 3)), [0, 2, 3, -1, 9])
+
+    def test_label_count_must_match_the_batch(self):
+        with pytest.raises(ShapeMismatch, match=r"^got 2 labels for batch of 3$"):
+            score_logits(Tensor.zeros((3, 1, 1, 4)), [0, 1])
 
 
 class TestAccuracy:
     def test_simple(self):
         z = np.array([[1.0, 2.0], [5.0, 1.0], [0.0, 3.0]]).reshape(3, 1, 1, 2)
-        assert top1_accuracy(Tensor(z), [1, 0, 0]) == pytest.approx(2.0 / 3.0)
+        assert score_logits(Tensor(z), [1, 0, 0])[1] == pytest.approx(2.0 / 3.0)
 
     def test_tie_goes_to_lowest_index(self):
         z = Tensor.zeros((1, 1, 1, 4))
-        assert top1_accuracy(z, [0]) == 1.0
-        assert top1_accuracy(z, [1]) == 0.0
+        assert score_logits(z, [0])[1] == 1.0
+        assert score_logits(z, [1])[1] == 0.0
+
+
+class TestScoreLogitsMatchesReference:
+    """score_logits against the separate loss and accuracy ops it replaced (helpers), bit for bit."""
+
+    @staticmethod
+    def assert_same(z, labels):
+        loss, accuracy, grad = score_logits(Tensor(z), labels)
+        want_loss, _, want_grad = reference_softmax_cross_entropy(Tensor(z), labels)
+        assert (loss, accuracy) == (want_loss, reference_top1_accuracy(Tensor(z), labels))
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("f", [2, 3, 6])
+    def test_random_batches(self, n, f):
+        rng = np.random.default_rng(100 * n + f)
+        for _ in range(5):
+            self.assert_same(rng.normal(0, 3, (n, 1, 1, f)), rng.integers(0, f, n))
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_argmax_ties_go_to_the_lowest_index(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            z = rng.integers(0, 2, (n, 1, 1, 4)).astype(np.float64)  # most rows tie
+            self.assert_same(z, rng.integers(0, 4, n))
+        z = np.zeros((n, 1, 1, 3))
+        self.assert_same(z, np.zeros(n, dtype=np.int64))
+        assert score_logits(Tensor(z), np.zeros(n, dtype=np.int64))[1] == 1.0
+        assert score_logits(Tensor(z), np.ones(n, dtype=np.int64))[1] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_logits_of_plus_minus_1000(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(10):
+            z = rng.choice([-1000.0, 1000.0], (n, 1, 1, 5)) + rng.uniform(-1, 1, (n, 1, 1, 5))
+            self.assert_same(z, rng.integers(0, 5, n))
+        self.assert_same(rng.choice([-1000.0, 1000.0], (n, 1, 1, 5)), rng.integers(0, 5, n))
 
 
 class TestInitParams:

@@ -43,7 +43,7 @@ from mhforge.surgery import (
     convert_manifest_hc,
     hc_encode,
 )
-from mhforge.tensor_ops import LayerParams, Tensor, softmax_cross_entropy
+from mhforge.tensor_ops import LayerParams, Tensor, score_logits
 from mhforge.training import (
     EpochRecord,
     TrainConfig,
@@ -190,7 +190,7 @@ class TestForwardAll:
             heads = forward_all(bundle, images).heads
             scores = score_heads(bundle, heads, labels)
             for cat, weight in (("kind", 1.0), ("spot", spot_weight)):
-                unweighted = softmax_cross_entropy(heads[cat], labels[cat])[2]
+                unweighted = score_logits(heads[cat], labels[cat])[2]
                 assert scores[cat][2].tobytes() == (weight * unweighted).tobytes()
 
     def test_zero_head_gives_log_class_count_loss(self):
@@ -302,7 +302,7 @@ class TestBackwardMulti:
         images, labels = make_batch()
         state = forward_all(bundle, images)
         seeds = loss_grads(bundle, state, labels)
-        grad_logits = {c: softmax_cross_entropy(state.heads[c], labels[c])[2] for c in labels}
+        grad_logits = {c: score_logits(state.heads[c], labels[c])[2] for c in labels}
         assert np.allclose(seeds["kind"], grad_logits["kind"])
         assert np.allclose(seeds["spot"], 0.5 * grad_logits["spot"])
 
@@ -562,8 +562,7 @@ class TestPassProgram:
         def scorer(*args, **kwargs):
             raise AssertionError("a forward pass scored a head")
 
-        monkeypatch.setattr(training_mod, "softmax_cross_entropy", scorer)
-        monkeypatch.setattr(training_mod, "top1_accuracy", scorer)
+        monkeypatch.setattr(training_mod, "score_logits", scorer)
         tensor_layers = [l for l in spec.layers if l.kind not in ("loss", "accuracy")]
         assert (len(spec.layers), len(tensor_layers)) == (14, 10)
         for plan in plans:
