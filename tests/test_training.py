@@ -33,7 +33,7 @@ from mhforge.dataset import (
 )
 from mhforge.errors import MhforgeError
 from mhforge.modelfile import ModelBundle, new_bundle, save_model
-from mhforge.netspec import KINDS, bind_categories, parse_netspec
+from mhforge.netspec import KINDS, LayerSpec, bind_categories, parse_netspec
 from mhforge.surgery import (
     HcLabelMap,
     SurgeryError,
@@ -340,9 +340,9 @@ class ReadLog(dict):
         return super().get(key, default)
 
 
-def finetune_shaped_spec():
-    """The acceptance backbone under two heads, frozen but for c2."""
-    spec = attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), CATS, "g")
+def finetune_shaped_spec(cats=CATS):
+    """The acceptance backbone under one head per category, frozen but for c2."""
+    spec = attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), cats, "g")
     layers = tuple(dataclasses.replace(l, frozen=l.frozen and l.name != "c2") for l in spec.layers)
     return dataclasses.replace(spec, layers=layers)
 
@@ -1252,9 +1252,9 @@ class TestChunkBoundaries:
         """(batch size, run under NO_BACKWARD) of every forward_all call the training module makes."""
         seen = []
 
-        def spy(bundle, images, plan=training_mod.NO_BACKWARD):
+        def spy(bundle, images, plan=training_mod.NO_BACKWARD, start=None, stop=None):
             seen.append((images.shape[0], plan is training_mod.NO_BACKWARD))
-            return forward_all(bundle, images, plan)
+            return forward_all(bundle, images, plan, start, stop)
 
         monkeypatch.setattr(training_mod, "forward_all", spy)
         return seen
@@ -1352,7 +1352,7 @@ class TestRasterPasses:
     @pytest.mark.parametrize("cut", ["training_batches", "eval_chunks"])
     def test_each_pass_input_equals_the_float_stack_rows(self, pixel_dataset, monkeypatch, cut):
         monkeypatch.setattr(training_mod, "EVAL_CHUNK", 5)
-        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, plan: images)
+        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, plan, start, stop: images)
         rasters, _ = training_mod._arrays(pixel_dataset, PIXEL_CATS, PIXEL_CATS)
         floats = load_images(pixel_dataset).data
         order = epoch_order(len(pixel_dataset), 3)
@@ -1405,6 +1405,155 @@ class TestModelBytesMatchTensordotConv:
         assert ("conv2d_backward" in calls) == bool(trained_convs)
         assert got[0] == want[0]
         assert got[1] == want[1]
+
+
+def relu_beside_frontier_spec(cats):
+    """The proposed spec without r2, so that g has negative entries, and with its second head frozen behind a
+    relu of g: that relu reads g last, so a pass that let it write in place would change g's rows."""
+    backbone = ACCEPTANCE_BACKBONE.replace("relu name=r2 in=c2\n", "").replace("in=r2", "in=c2")
+    spec = attach_heads(parse_netspec(backbone), cats, "g")
+    second = spec.heads()[1]
+    layers = []
+    for lay in spec.layers:
+        if lay is second:
+            layers.append(LayerSpec(name="rg", kind="relu", inputs=("g",)))
+            lay = dataclasses.replace(lay, inputs=("rg",), frozen=True)
+        layers.append(lay)
+    return dataclasses.replace(spec, layers=tuple(layers))
+
+
+class TestFrontierCache:
+    """`train` runs a frozen backbone once per image and caches the frontier's outputs where that saves work."""
+
+    @pytest.fixture(scope="class")
+    def synthetic(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("synthetic"))
+        entries, cats = generate_synthetic(SyntheticConfig(samples_per_combo=3, seed=1), root)
+        # 46 images: 31 train and 15 validate, so batches of 5, 8 and 16 and 8-image chunks all end short
+        return with_base(entries, root)[2:], cats
+
+    @staticmethod
+    def variant(name, entries, cats):
+        """(bundle, entries, manifest categories) for training one acceptance variant."""
+        backbone = parse_netspec(ACCEPTANCE_BACKBONE)
+        if name == "proposed":
+            return new_bundle(attach_heads(backbone, cats, "g"), seed=0), entries, None
+        if name == "two_model":
+            return new_bundle(build_two_model(backbone, cats, "g")[1], seed=0), entries, cats
+        if name == "hard_coded":
+            spec, hc_map = build_hard_coded(backbone, cats, [e.labels for e in entries], "g")
+            return new_bundle(spec, seed=0), convert_manifest_hc(entries, hc_map), None
+        if name == "relu_beside_frontier":
+            return new_bundle(relu_beside_frontier_spec(cats), seed=0), entries, None
+        return new_bundle(finetune_shaped_spec(cats), seed=0), entries, None
+
+    @staticmethod
+    def trained(bundle, entries, manifest_categories, config, path):
+        bundle, log = train(bundle, entries, config, manifest_categories)
+        save_model(bundle, str(path))
+        params = {name: (p.weights.data.tobytes(), p.bias.tobytes()) for name, p in bundle.params.items()}
+        rows = [line.rsplit(",", 1)[0] for line in log.to_csv().splitlines()]  # every column but `seconds`
+        return path.read_bytes(), params, rows
+
+    @pytest.mark.parametrize("batch_size", [5, 8, 16])
+    @pytest.mark.parametrize("name", ["proposed", "two_model", "hard_coded", "relu_beside_frontier"])
+    def test_cached_training_equals_uncached(self, synthetic, name, batch_size, monkeypatch, tmp_path):
+        config = TrainConfig(epochs=2, batch_size=batch_size, learning_rate=0.3, seed=0)
+        bundle, entries, manifest_categories = self.variant(name, *synthetic)
+        assert training_mod._frontier(bundle, backward_plan(bundle), config.epochs) == "g"
+        cached = self.trained(bundle, entries, manifest_categories, config, tmp_path / "cached.mhf")
+
+        monkeypatch.setattr(training_mod, "_frontier", lambda *args: None)
+        bundle, entries, manifest_categories = self.variant(name, *synthetic)
+        uncached = self.trained(bundle, entries, manifest_categories, config, tmp_path / "uncached.mhf")
+        # holds only while each image's frontier row and head logits are bitwise the same in any batch, which a
+        # BLAS build whose GEMM rows depend on the rows beside them would break
+        assert cached[0] == uncached[0], "model file bytes differ"
+        assert cached[1] == uncached[1], "float64 parameters differ"
+        assert cached[2] == uncached[2], "trainlog differs outside the seconds column"
+
+    @staticmethod
+    def spy_forward_ops(monkeypatch, bundle):
+        """Per conv and fc forward call: (layer, input rows as bytes)."""
+        names = {id(p): n for n, p in bundle.params.items()}
+        calls = []
+        for op in ("conv2d_forward", "fully_connected"):
+            def spy(x, params, *args, op=getattr(training_mod, op), **kwargs):
+                calls.append((names[id(params)], [row.tobytes() for row in x.data]))
+                return op(x, params, *args, **kwargs)
+            monkeypatch.setattr(training_mod, op, spy)
+        return calls
+
+    def test_a_cached_train_runs_each_image_through_the_backbone_once(self, synthetic, monkeypatch):
+        bundle, entries, _ = self.variant("proposed", *synthetic)
+        calls = self.spy_forward_ops(monkeypatch, bundle)
+        config = TrainConfig(epochs=3, batch_size=5, learning_rate=0.3, seed=0)
+        train(bundle, entries, config)
+        c1_rows = [row for layer, rows in calls if layer == "c1" for row in rows]
+        assert len(c1_rows) == len(set(c1_rows)) == len(entries) == 46
+        assert sum(layer == "c1" for layer, _ in calls) == math.ceil(31 / 8) + math.ceil(15 / 8)
+        for head in ("head_shape", "head_position"):
+            # per epoch: 7 training batches, then 2 validation chunks
+            assert sum(layer == head for layer, _ in calls) == 3 * (math.ceil(31 / 5) + math.ceil(15 / 8))
+
+    @pytest.mark.parametrize(
+        "name,epochs", [("finetune_shaped", 3), ("pixel", 3), ("proposed", 0), ("proposed", 1)]
+    )
+    def test_where_a_cache_saves_nothing_every_epoch_runs_the_backbone(
+        self, synthetic, pixel_dataset, name, epochs, monkeypatch
+    ):
+        # finetune_shaped: the frontier p1 holds 18,496 bytes per image against the raster's 1,156
+        # pixel: c1 trains, so the frontier is the input, eight times the raster's bytes
+        if name == "pixel":
+            bundle, entries = pixel_bundle(), pixel_dataset
+        else:
+            bundle, entries, _ = self.variant(name, *synthetic)
+        conv = next(lay.name for lay in bundle.spec.layers if lay.kind == "conv")
+        assert training_mod._frontier(bundle, backward_plan(bundle), epochs) is None
+        calls = self.spy_forward_ops(monkeypatch, bundle)
+        train(bundle, entries, TrainConfig(epochs=epochs, batch_size=5, learning_rate=0.1, seed=0))
+        assert sum(len(rows) for layer, rows in calls if layer == conv) == epochs * len(entries)
+
+    @pytest.mark.parametrize("name", ["proposed", "relu_beside_frontier"])
+    def test_cached_rows_equal_a_fresh_prefix_pass_after_training(self, synthetic, name, monkeypatch):
+        bundle, entries, _ = self.variant(name, *synthetic)
+        cached = []
+        frontier_rows = training_mod._frontier_rows
+
+        def keep(bundle, rasters, frontier):
+            rows = frontier_rows(bundle, rasters, frontier)
+            cached.append((rasters, rows))
+            return rows
+
+        monkeypatch.setattr(training_mod, "_frontier_rows", keep)
+        train(bundle, entries, TrainConfig(epochs=3, batch_size=8, learning_rate=0.3, seed=0))
+        assert [len(rows) for _, rows in cached] == [31, 15]
+        for rasters, rows in cached:
+            for first in range(0, len(rasters), 8):
+                images = Tensor(rasters[first : first + 8] / 255.0)
+                fresh = forward_all(bundle, images, stop="g").activations["g"].data
+                assert rows[first : first + 8].tobytes() == fresh.tobytes()
+
+    def test_rows_of_the_wrong_shape_name_the_layer_and_its_channels_last_shape(self):
+        bundle = variant_bundles()["proposed"]
+        for shape, got in (((2, 1, 1, 15), "1x1x15"), ((2, 16, 1, 1), "16x1x1")):
+            want = f"rows for a pass from layer 'g' are {got} but its output is 1x1x16 (HxWxC)"
+            with pytest.raises(TrainError, match=re.escape(want)):
+                forward_all(bundle, Tensor(np.zeros(shape)), start="g")
+
+    def test_epoch_one_seconds_include_the_frontier_pass(self, synthetic, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(training_mod, "time", type("Clock", (), {"perf_counter": staticmethod(lambda: clock[0])}))
+        frontier_rows = training_mod._frontier_rows
+
+        def slow(*args):
+            clock[0] += 1000.0
+            return frontier_rows(*args)
+
+        monkeypatch.setattr(training_mod, "_frontier_rows", slow)
+        bundle, entries, _ = self.variant("proposed", *synthetic)
+        _, log = train(bundle, entries, TrainConfig(epochs=3, learning_rate=0.3, seed=0))
+        assert [r.seconds for r in log.records] == [2000.0, 0.0, 0.0]
 
 
 class TestPredictIds:
