@@ -102,7 +102,8 @@ def _load_manifest_entries(manifest_path: str, categories):
 def _apply_side(entries, side: str, split_fraction: float, seed: int):
     if side == "all":
         return entries
-    train_side, val_side = split_entries(entries, split_fraction, seed)
+    config = TrainConfig(split_fraction=split_fraction, seed=seed)  # refuses the splits `train` refuses
+    train_side, val_side = split_entries(entries, config.split_fraction, config.seed)
     return train_side if side == "train" else val_side
 
 

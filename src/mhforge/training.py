@@ -41,24 +41,28 @@ of both split sides and of `evaluate` come from one step, `_arrays`, which
 picks each model category's column of the manifest's labels. The image sets
 are 8-bit rasters; each pass scales its own rows to float64 (`dataset.scale`).
 
-`train` runs a frozen backbone once per image where that saves work. Its
-frontier (`_frontier`) is the one layer with no trainable parameter at or
-below it whose output feeds a layer that trains: `g` under the heads of every
-acceptance variant. Before epoch 1, passes stopped there (`forward_all`'s
-`stop`) compute its outputs for every training and validation image in
-EVAL_CHUNK slices, and those float64 channels-last rows replace the rasters;
-every training batch and validation pass then starts there (`start`). The
-cache is built only over two epochs or more, where each image would cross
-the frontier once per epoch, and only where the frontier holds no more bytes
-per image than the raster (`g`: 128 against 1,156; a finetune's `p1`: 18,496).
-`evaluate`, `predict_ids` and `bench` always run from the images.
+`train` runs a frozen backbone once per image where that saves work, by
+cutting the network in two at its frontier (`_frontier`): the one layer with
+no trainable parameter at or below it whose output feeds a layer that trains
+(`g` under the heads of every acceptance variant). The frozen prefix is the
+spec's lines up to and including the frontier; the net is an `input` line of
+the frontier's shape, then every later line, over the same parameters.
+Before epoch 1, prefix passes compute the frontier's outputs for every
+training and validation image in EVAL_CHUNK slices, and those float64
+(N, C, H, W) rows replace the rasters; every training batch and validation
+pass then runs the net over them, against the net's own `backward_plan`. So
+every pass runs a whole spec from its `input` line. The cut is made only over
+two epochs or more, where each image would cross the frontier once per epoch,
+and only where the frontier holds no more bytes per image than the raster
+(`g`: 128 against 1,156; a finetune's `p1`: 18,496). `evaluate`,
+`predict_ids` and `bench` always run the whole network from the images.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +72,7 @@ from .dataset import ManifestEntry, epoch_order, scale
 from .dataset import load_rasters as load_images
 from .errors import MhforgeError
 from .modelfile import ModelBundle
-from .netspec import validate_shapes
+from .netspec import LayerSpec, NetworkSpec, validate_shapes
 from .surgery import HcLabelMap, convert_manifest_hc, hc_categories, hc_scores
 from .tensor_ops import (
     SEED_MASK,
@@ -248,8 +252,6 @@ class PassProgram(NamedTuple):
 
     steps: tuple  # per layer that produces a tensor: (forward op, layer, input name or None, names dropped after it)
     overwrites: frozenset[str]  # relu layers that write into their input
-    index: dict[str, int]  # layer -> the position of its step, where a pass's `start` or `stop` cuts the steps
-    shapes: dict[str, tuple[int, int, int]]  # layer -> the (C, H, W) of its output, as validate_shapes gives it
 
 
 def _pass_program(spec, keeps: frozenset[str]) -> PassProgram:
@@ -268,49 +270,27 @@ def _pass_program(spec, keeps: frozenset[str]) -> PassProgram:
     spared = {lay.name for lay in layers if not lay.inputs or lay.head_tag is not None}  # the image batch, the heads
     steps = tuple((_LAYER_OPS[l.kind][0], l, l.inputs[0] if l.inputs else None, d) for l, d in zip(layers, dropped))
     overwrites = frozenset(lay.name for lay in last_readers if lay.inputs[0] not in spared)
-    return PassProgram(steps, overwrites, {lay.name: i for i, lay in enumerate(layers)}, produces)
+    return PassProgram(steps, overwrites)
 
 
-def forward_all(
-    bundle: ModelBundle,
-    images: Tensor,
-    plan: BackwardPlan = NO_BACKWARD,
-    start: str | None = None,
-    stop: str | None = None,
-) -> ForwardState:
+def forward_all(bundle: ModelBundle, images: Tensor, plan: BackwardPlan = NO_BACKWARD) -> ForwardState:
     """Runs the graph once over (N, C, H, W) images and holds each head's logits; scores nothing (see score_heads).
 
     Runs the spec's pass program for the activations `plan`'s backward reads
     (`_pass_program`): it keeps those, and drops or lets a relu overwrite
     every other one after its last reader. A pass that backward_multi
     follows needs the bundle's `backward_plan`.
-
-    `stop` ends the pass once that layer has run, and `start` takes `images`
-    as that layer's channels-last (N, H, W, C) output and runs only the steps
-    after it. Such a pass runs the program that also keeps that layer's
-    output, so no step drops it or writes into it: `train` runs its cached
-    frontier rows from there (`_frontier`).
     """
     spec = bundle.spec
-    keeps = plan.keeps if start is None and stop is None else plan.keeps | ({start, stop} - {None})
-    program = spec.pass_programs.get(keeps)
+    program = spec.pass_programs.get(plan.keeps)
     if program is None:
-        program = spec.pass_programs[keeps] = _pass_program(spec, keeps)
+        program = spec.pass_programs[plan.keeps] = _pass_program(spec, plan.keeps)
+    _, c, h, w = images.shape
+    if (c, h, w) != spec.input_shape:
+        raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
     activations = {}
-    if start is None:
-        _, c, h, w = images.shape
-        if (c, h, w) != spec.input_shape:
-            raise TrainError(f"batch images are {c}x{h}x{w} but the network expects {spec.input_shape}")
-    else:
-        c, h, w = program.shapes[start]
-        if images.shape[1:] != (h, w, c):
-            got = "x".join(map(str, images.shape[1:]))
-            raise TrainError(f"rows for a pass from layer {start!r} are {got} but its output is {h}x{w}x{c} (HxWxC)")
-        activations[start] = images
-    first = 0 if start is None else program.index[start] + 1
-    last = len(program.steps) if stop is None else program.index[stop] + 1
     state = ForwardState(plan, activations, {}, {}, {}, program.overwrites)
-    for op, lay, src, dropped in program.steps[first:last]:
+    for op, lay, src, dropped in program.steps:
         activations[lay.name] = op(bundle, state, lay, images if src is None else activations[src])
         for name in dropped:
             del activations[name]
@@ -485,32 +465,36 @@ def _check_finite(losses: dict[str, float], where: str) -> None:
             raise TrainError(f"training diverged in {where}: head {c} loss is {loss}")
 
 
-def _passes(bundle: ModelBundle, data: np.ndarray, batches=None, plan=NO_BACKWARD, start=None, stop=None):
+def _passes(bundle: ModelBundle, data: np.ndarray, batches=None, plan=NO_BACKWARD):
     """Yields (rows, state): one forward pass under `plan` per `rows` of `batches`.
 
-    `data` holds 8-bit rasters, which each pass scales to float64, or, given
-    `start`, that layer's float64 channels-last outputs (`_frontier_rows`),
-    from which each pass runs; `stop` ends each pass at that layer (see
-    `forward_all`). `batches` defaults to EVAL_CHUNK-image slices in
-    ascending order. Each pass runs only when asked for, so it sees the
-    parameters as the step before left them.
+    `data` holds 8-bit rasters, which each pass scales to float64, or float64
+    rows of the bundle's input shape (`_frontier_rows`), which each pass takes
+    as they are. `batches` defaults to EVAL_CHUNK-image slices in ascending
+    order. Each pass runs only when asked for, so it sees the parameters as
+    the step before left them.
     """
     if batches is None:
         batches = [slice(first, first + EVAL_CHUNK) for first in range(0, data.shape[0], EVAL_CHUNK)]
+    scaled = data.dtype == np.uint8
     for rows in batches:  # no local names the batch: the suspended generator would hold it through the next pass
-        yield rows, forward_all(bundle, Tensor(scale(data[rows]) if start is None else data[rows]), plan, start, stop)
+        yield rows, forward_all(bundle, Tensor(scale(data[rows]) if scaled else data[rows]), plan)
 
 
-def _frontier(bundle: ModelBundle, plan: BackwardPlan, epochs: int) -> str | None:
-    """The layer whose outputs `train` computes once per image and caches, or None to run every pass from the images.
+def _frontier(bundle: ModelBundle, plan: BackwardPlan, epochs: int) -> tuple[ModelBundle, ModelBundle] | None:
+    """The network cut where `train` caches a frozen backbone's outputs: (prefix, net), or None to run it whole.
 
     The frontier is the one layer with no trainable parameter at or below it
-    whose output a layer that trains reads (`plan.reach`), provided that
-    every step after it reads it or a later step, so that a pass can start
-    there. It is cached only where that saves both work and memory: over at
-    least two epochs, where each image would cross it once per epoch, and
-    where its float64 output holds no more bytes per image than the one-byte
-    pixels of the raster it replaces.
+    whose output a layer that trains reads (`plan.reach`). The prefix is the
+    spec's lines up to and including it, with no categories; the net is an
+    `input` line named after it, of its (C, H, W) shape, then every later
+    line. Both share the bundle's parameters. The cut holds only where every
+    later line reads the frontier or a later line and every `loss` line lies
+    above the frontier, so that the net scores every head. It is made only
+    where caching saves both work and memory: over at least two epochs,
+    where each image would cross the frontier once per epoch, and where the
+    frontier's float64 output holds no more bytes per image than the
+    one-byte pixels of the raster it replaces.
     """
     if epochs < 2:
         return None
@@ -519,20 +503,25 @@ def _frontier(bundle: ModelBundle, plan: BackwardPlan, epochs: int) -> str | Non
     if len(edges) != 1:
         return None
     (frontier,) = edges
-    shapes = validate_shapes(spec)
-    names = list(shapes)
-    after = names[names.index(frontier) :]  # the frontier, then the steps a pass from it runs
-    if any(spec.layer(name).inputs[0] not in after for name in after[1:]):
+    cut = [lay.name for lay in spec.layers].index(frontier) + 1
+    below, above = spec.layers[:cut], spec.layers[cut:]
+    names = {frontier, *(lay.name for lay in above)}
+    if any(lay.inputs[0] not in names for lay in above) or any(lay.kind == "loss" for lay in below):
         return None
-    return frontier if 8 * math.prod(shapes[frontier]) <= math.prod(spec.input_shape) else None
+    shape = validate_shapes(spec)[frontier]
+    if 8 * math.prod(shape) > math.prod(spec.input_shape):
+        return None
+    prefix = replace(spec, layers=below, categories=None)
+    net = NetworkSpec((LayerSpec(frontier, "input"), *above), shape, spec.categories)
+    return ModelBundle(prefix, bundle.params), ModelBundle(net, bundle.params)
 
 
-def _frontier_rows(bundle: ModelBundle, rasters: np.ndarray, frontier: str) -> np.ndarray:
-    """Layer `frontier`'s float64 channels-last outputs for every raster, from one pass per EVAL_CHUNK images."""
-    c, h, w = validate_shapes(bundle.spec)[frontier]
-    rows = np.empty((rasters.shape[0], h, w, c))
-    for chunk, state in _passes(bundle, rasters, stop=frontier):
-        rows[chunk] = state.activations[frontier].data
+def _frontier_rows(prefix: ModelBundle, rasters: np.ndarray) -> np.ndarray:
+    """The prefix's last layer's float64 (N, C, H, W) outputs for every raster, from one pass per EVAL_CHUNK images."""
+    frontier = prefix.spec.layers[-1].name
+    rows = np.empty((rasters.shape[0], *validate_shapes(prefix.spec)[frontier]))
+    for chunk, state in _passes(prefix, rasters, plan=replace(NO_BACKWARD, keeps=frozenset({frontier}))):
+        rows[chunk] = state.activations[frontier].data.transpose(0, 3, 1, 2)
     return rows
 
 
@@ -549,15 +538,14 @@ def _means(sums: dict[str, list[float]], n: int) -> tuple[dict[str, float], dict
     return {c: loss / n for c, (loss, _) in sums.items()}, {c: hits / n for c, (_, hits) in sums.items()}
 
 
-def _evaluate_arrays(bundle: ModelBundle, data: np.ndarray, labels: dict[str, np.ndarray], start=None):
+def _evaluate_arrays(bundle: ModelBundle, data: np.ndarray, labels: dict[str, np.ndarray]):
     """Per head, the mean loss and the mean accuracy over the data's images; then each head's logits of them all.
 
-    `data` and `start` are as `_passes` takes them. The forward passes take
-    EVAL_CHUNK images each and keep only the heads' logits (and, from
-    `start`, a view of their rows); every head is then scored once over the
-    whole set, so the result does not depend on the pass size.
+    `data` is as `_passes` takes it. The forward passes take EVAL_CHUNK images
+    each and keep only the heads' logits; every head is then scored once over
+    the whole set, so the result does not depend on the pass size.
     """
-    states = [state for _, state in _passes(bundle, data, start=start)]
+    states = [state for _, state in _passes(bundle, data)]
     logits = {c: Tensor(np.concatenate([s.heads[c].data for s in states])) for c in bundle.spec.categories.names}
     scores = score_heads(bundle, logits, labels)
     return {c: loss for c, (loss, _, _) in scores.items()}, {c: acc for c, (_, acc, _) in scores.items()}, logits
@@ -574,10 +562,11 @@ def train(
     A loss that is not finite, on a training batch or on the validation side,
     raises TrainError naming the epoch, the batch and the head.
 
-    Where `_frontier` finds a layer worth caching, its outputs for every
-    training and validation image are computed once, before the first epoch,
-    and replace the rasters; every pass then runs from them. Epoch 1's
-    `seconds` includes that pass.
+    Where `_frontier` cuts the network, the frozen prefix runs once over every
+    training and validation image, before the first epoch, and its frontier
+    rows replace the rasters; every training batch and validation pass then
+    runs the net over them, and `sgd_step` steps the parameters the net
+    shares with `bundle`. Epoch 1's `seconds` includes the prefix passes.
 
     `manifest_categories` describes the label columns of `entries` when they
     carry more categories than the model trains on; the split is computed on
@@ -593,31 +582,33 @@ def train(
         max(config.epochs, 1), dtype=np.uint64
     )
     velocity: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    plan = backward_plan(bundle)
-    frontier = _frontier(bundle, plan, config.epochs)
+    net, plan = bundle, backward_plan(bundle)
+    cut = _frontier(bundle, plan, config.epochs)
     log = TrainLog(cats.names)
     n_train = len(train_set)
 
     t0 = time.perf_counter()
-    if frontier is not None:
-        train_data = _frontier_rows(bundle, train_data, frontier)
+    if cut is not None:
+        prefix, net = cut
+        plan = backward_plan(net)
+        train_data = _frontier_rows(prefix, train_data)
         if val is not None:
-            val = (_frontier_rows(bundle, val[0], frontier), val[1])
+            val = (_frontier_rows(prefix, val[0]), val[1])
     for epoch in range(1, config.epochs + 1):
         order = epoch_order(n_train, int(epoch_seeds[epoch - 1]))
         batches = [order[start : start + config.batch_size] for start in range(0, n_train, config.batch_size)]
         sums = {c: [0.0, 0.0] for c in cats.names}
         # a diverging step overflows silently: the finite-loss check is its one report
         with _quiet_fp():
-            for batch, (rows, state) in enumerate(_passes(bundle, train_data, batches, plan, frontier), start=1):
+            for batch, (rows, state) in enumerate(_passes(net, train_data, batches, plan), start=1):
                 where = f"epoch {epoch}, batch {batch} of {len(batches)}"
-                scores = score_heads(bundle, state.heads, {c: lab[rows] for c, lab in train_labels.items()})
+                scores = score_heads(net, state.heads, {c: lab[rows] for c, lab in train_labels.items()})
                 _check_finite({c: scores[c][0] for c in cats.names}, where)
-                grads = backward_multi(bundle, state, {c: grad for c, (_, _, grad) in scores.items()})
-                sgd_step(bundle.params, grads, config.learning_rate, config.momentum, velocity)
+                grads = backward_multi(net, state, {c: grad for c, (_, _, grad) in scores.items()})
+                sgd_step(net.params, grads, config.learning_rate, config.momentum, velocity)
                 _add(sums, scores, len(rows))
             if val is not None:
-                val_loss, val_acc, _ = _evaluate_arrays(bundle, *val, frontier)
+                val_loss, val_acc, _ = _evaluate_arrays(net, *val)
                 _check_finite(val_loss, f"epoch {epoch}, validation")
             else:
                 val_loss = val_acc = dict.fromkeys(cats.names, float("nan"))

@@ -342,6 +342,17 @@ class TestEval:
         assert first in err and second in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("side", ["train", "val"])
+    @pytest.mark.parametrize("split", ["nan", "inf", "0", "1", "1.5", "-1"])
+    def test_split_that_train_refuses_is_refused(self, pipeline, tmp_path, capsys, split, side):
+        code = main(["eval", "--model", os.path.join(pipeline["proposed"], "model.mhf"),
+                     "--categories", pipeline["cats"], "--manifest", pipeline["manifest"],
+                     "--side", side, "--split", split, "--out", str(tmp_path / "eval.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: split_fraction must be in (0, 1), got {float(split)}\n"
+        assert not (tmp_path / "eval.json").exists()
+
     def test_two_model_head_metrics_equal_proposed(self, pipeline):
         # identical split, zero head init, and a frozen trunk make the
         # dedicated models retrace the shared model's head trajectories

@@ -59,6 +59,7 @@ from mhforge.training import (
     split_entries,
     train,
 )
+from perfbench.trace import Tracer
 
 TWO_HEAD = """\
 input name=img shape=1x4x4
@@ -1252,9 +1253,9 @@ class TestChunkBoundaries:
         """(batch size, run under NO_BACKWARD) of every forward_all call the training module makes."""
         seen = []
 
-        def spy(bundle, images, plan=training_mod.NO_BACKWARD, start=None, stop=None):
+        def spy(bundle, images, plan=training_mod.NO_BACKWARD):
             seen.append((images.shape[0], plan is training_mod.NO_BACKWARD))
-            return forward_all(bundle, images, plan, start, stop)
+            return forward_all(bundle, images, plan)
 
         monkeypatch.setattr(training_mod, "forward_all", spy)
         return seen
@@ -1352,7 +1353,7 @@ class TestRasterPasses:
     @pytest.mark.parametrize("cut", ["training_batches", "eval_chunks"])
     def test_each_pass_input_equals_the_float_stack_rows(self, pixel_dataset, monkeypatch, cut):
         monkeypatch.setattr(training_mod, "EVAL_CHUNK", 5)
-        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, plan, start, stop: images)
+        monkeypatch.setattr(training_mod, "forward_all", lambda bundle, images, plan: images)
         rasters, _ = training_mod._arrays(pixel_dataset, PIXEL_CATS, PIXEL_CATS)
         floats = load_images(pixel_dataset).data
         order = epoch_order(len(pixel_dataset), 3)
@@ -1422,6 +1423,27 @@ def relu_beside_frontier_spec(cats):
     return dataclasses.replace(spec, layers=tuple(layers))
 
 
+def frozen_head_below_frontier_spec(cats, sinks):
+    """A frozen shape head over a pool of p1, defined before c2, and a trained position head over g. Its loss and
+    accuracy lines follow the head ("beside_head") or come after every other line ("last")."""
+    n_shape, n_position = cats.class_counts
+    shape_sinks = "loss name=loss_shape in=head_shape label=shape\naccuracy name=acc_shape in=head_shape label=shape\n"
+    text = ACCEPTANCE_BACKBONE.replace(
+        "conv name=c2",
+        "gavgpool name=gp in=p1\n"
+        f"fc name=head_shape in=gp out={n_shape} head=shape frozen=true\n"
+        + (shape_sinks if sinks == "beside_head" else "")
+        + "conv name=c2",
+    )
+    text += f"fc name=head_position in=g out={n_position} head=position\n"
+    text += "loss name=loss_position in=head_position label=position\n"
+    text += "accuracy name=acc_position in=head_position label=position\n"
+    text += shape_sinks if sinks == "last" else ""
+    spec = bind_categories(parse_netspec(text), cats)
+    layers = tuple(dataclasses.replace(l, frozen=l.name != "head_position") if l.has_params else l for l in spec.layers)
+    return dataclasses.replace(spec, layers=layers)
+
+
 class TestFrontierCache:
     """`train` runs a frozen backbone once per image and caches the frontier's outputs where that saves work."""
 
@@ -1460,7 +1482,8 @@ class TestFrontierCache:
     def test_cached_training_equals_uncached(self, synthetic, name, batch_size, monkeypatch, tmp_path):
         config = TrainConfig(epochs=2, batch_size=batch_size, learning_rate=0.3, seed=0)
         bundle, entries, manifest_categories = self.variant(name, *synthetic)
-        assert training_mod._frontier(bundle, backward_plan(bundle), config.epochs) == "g"
+        prefix, net = training_mod._frontier(bundle, backward_plan(bundle), config.epochs)
+        assert prefix.spec.layers[-1].name == net.spec.layers[0].name == "g"
         cached = self.trained(bundle, entries, manifest_categories, config, tmp_path / "cached.mhf")
 
         monkeypatch.setattr(training_mod, "_frontier", lambda *args: None)
@@ -1471,6 +1494,20 @@ class TestFrontierCache:
         assert cached[0] == uncached[0], "model file bytes differ"
         assert cached[1] == uncached[1], "float64 parameters differ"
         assert cached[2] == uncached[2], "trainlog differs outside the seconds column"
+
+    @pytest.mark.parametrize("sinks", ["beside_head", "last"])
+    def test_a_head_below_the_frontier_leaves_the_network_whole(self, synthetic, sinks, monkeypatch, tmp_path):
+        entries, cats = synthetic
+        config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.3, seed=0)
+        bundle = new_bundle(frozen_head_below_frontier_spec(cats, sinks), seed=0)
+        plan = backward_plan(bundle)
+        assert plan.trains == {"head_position"} and plan.keeps == {"g"}
+        assert training_mod._frontier(bundle, plan, config.epochs) is None
+        trained = self.trained(bundle, entries, None, config, tmp_path / "trained.mhf")
+
+        monkeypatch.setattr(training_mod, "_frontier", lambda *args: None)
+        bundle = new_bundle(frozen_head_below_frontier_spec(cats, sinks), seed=0)
+        assert trained == self.trained(bundle, entries, None, config, tmp_path / "whole.mhf")
 
     @staticmethod
     def spy_forward_ops(monkeypatch, bundle):
@@ -1496,6 +1533,28 @@ class TestFrontierCache:
             # per epoch: 7 training batches, then 2 validation chunks
             assert sum(layer == head for layer, _ in calls) == 3 * (math.ceil(31 / 5) + math.ceil(15 / 8))
 
+    def test_a_traced_cached_train_attributes_every_op_and_writes_the_same_model(self, synthetic, tmp_path):
+        config = TrainConfig(epochs=2, batch_size=5, learning_rate=0.3, seed=0)
+        bundle, entries, _ = self.variant("proposed", *synthetic)
+        plain = self.trained(bundle, entries, None, config, tmp_path / "plain.mhf")
+        bundle, entries, _ = self.variant("proposed", *synthetic)
+        with Tracer() as tracer:
+            tracer.begin_op()
+            traced = self.trained(bundle, entries, None, config, tmp_path / "traced.mhf")
+            tracer.end_op()
+        assert traced[0] == plain[0]
+        assert not [key for key in tracer.layers if key[0].startswith("unattributed")]
+        forward = {layer: [0, 0] for layer in ("c1", "head_shape", "head_position")}  # layer -> [calls, rows]
+        for (layer, direction, n), span in tracer.layers.items():
+            if direction == "fwd" and layer in forward:
+                forward[layer][0] += span.calls
+                forward[layer][1] += span.calls * n
+        assert forward["c1"][1] == len({e.image_path for e in entries}) == 46
+        assert tracer.passes_per_image == 1.0
+        for head in ("head_shape", "head_position"):
+            # per epoch: 7 training batches of 5 or fewer, then 2 validation chunks
+            assert forward[head][0] == config.epochs * (math.ceil(31 / 5) + math.ceil(15 / 8))
+
     @pytest.mark.parametrize(
         "name,epochs", [("finetune_shaped", 3), ("pixel", 3), ("proposed", 0), ("proposed", 1)]
     )
@@ -1520,26 +1579,28 @@ class TestFrontierCache:
         cached = []
         frontier_rows = training_mod._frontier_rows
 
-        def keep(bundle, rasters, frontier):
-            rows = frontier_rows(bundle, rasters, frontier)
+        def keep(prefix, rasters):
+            rows = frontier_rows(prefix, rasters)
             cached.append((rasters, rows))
             return rows
 
         monkeypatch.setattr(training_mod, "_frontier_rows", keep)
         train(bundle, entries, TrainConfig(epochs=3, batch_size=8, learning_rate=0.3, seed=0))
         assert [len(rows) for _, rows in cached] == [31, 15]
+        plan = backward_plan(bundle)  # its backward reads g, so the whole-network pass keeps g
         for rasters, rows in cached:
             for first in range(0, len(rasters), 8):
                 images = Tensor(rasters[first : first + 8] / 255.0)
-                fresh = forward_all(bundle, images, stop="g").activations["g"].data
+                fresh = forward_all(bundle, images, plan).activations["g"].data.transpose(0, 3, 1, 2)
                 assert rows[first : first + 8].tobytes() == fresh.tobytes()
 
-    def test_rows_of_the_wrong_shape_name_the_layer_and_its_channels_last_shape(self):
+    def test_the_net_refuses_rows_of_the_wrong_shape(self):
         bundle = variant_bundles()["proposed"]
-        for shape, got in (((2, 1, 1, 15), "1x1x15"), ((2, 16, 1, 1), "16x1x1")):
-            want = f"rows for a pass from layer 'g' are {got} but its output is 1x1x16 (HxWxC)"
+        _, net = training_mod._frontier(bundle, backward_plan(bundle), 2)
+        for shape, got in (((2, 15, 1, 1), "15x1x1"), ((2, 1, 1, 16), "1x1x16")):
+            want = f"batch images are {got} but the network expects (16, 1, 1)"
             with pytest.raises(TrainError, match=re.escape(want)):
-                forward_all(bundle, Tensor(np.zeros(shape)), start="g")
+                forward_all(net, Tensor(np.zeros(shape)))
 
     def test_epoch_one_seconds_include_the_frontier_pass(self, synthetic, monkeypatch):
         clock = [0.0]
