@@ -390,32 +390,31 @@ def _logits_2d(logits: Tensor) -> np.ndarray:
     return logits.data.reshape(n, f)
 
 
-def score_logits(logits: Tensor, labels) -> tuple[float, float, np.ndarray]:
+def score_logits(logits: Tensor, labels: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(mean negative log-likelihood, top-1 accuracy, logit gradient) of a batch of logits against its labels.
 
-    The labels are converted and range-checked once. The softmax, taken after
-    subtracting each row's max so huge logits cannot overflow, becomes the
-    gradient (probs - onehot) / N in place. Argmax ties go to the lowest index.
+    `labels` must be checked int64 class ids, one per row, each in [0, F):
+    only their count is checked here. `training` checks every label column
+    once, against its category's class count, where it reads the manifest.
+    The softmax, taken after subtracting each row's max so huge logits cannot
+    overflow, becomes the gradient (probs - onehot) / N in place. Argmax ties
+    go to the lowest index. The loss and accuracy are a sum and a count over
+    N, the values `.mean()` gives.
     """
     z = _logits_2d(logits)
-    n, f = z.shape
-    lab = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if lab.shape[0] != n:
-        raise ShapeMismatch(f"got {lab.shape[0]} labels for batch of {n}")
-    outside = (lab < 0) | (lab >= f)
-    if outside.any():
-        row = int(outside.argmax())  # the first offending row
-        raise ShapeMismatch(f"row {row}: label {lab[row]} out of range [0, {f})")
+    n = z.shape[0]
+    if len(labels) != n:
+        raise ShapeMismatch(f"got {len(labels)} labels for batch of {n}")
     shifted = z - z.max(axis=1, keepdims=True)
     grad = np.exp(shifted)
     total = grad.sum(axis=1, keepdims=True)
     idx = np.arange(n)
     # log(p) via the shifted logits directly, avoiding log(exp(...)) rounding
-    loss = float(-(shifted[idx, lab] - np.log(total[:, 0])).mean())
+    loss = float(-(shifted[idx, labels] - np.log(total[:, 0])).sum() / n)
     grad /= total
-    grad[idx, lab] -= 1.0
+    grad[idx, labels] -= 1.0
     grad /= n
-    return loss, float((z.argmax(axis=1) == lab).mean()), grad
+    return loss, np.count_nonzero(z.argmax(axis=1) == labels) / n, grad
 
 
 def he_normal(rng: np.random.Generator, shape: Shape4) -> np.ndarray:

@@ -12,7 +12,9 @@ and held in the spec's `pass_programs`): one step per tensor-producing layer.
 Gradients for all heads are accumulated in a single reverse sweep, which is
 elementwise equal to running one backward pass per loss and summing. Frozen
 parameters never receive gradients, and the sweep stops below the deepest
-layer under which everything is frozen.
+layer under which everything is frozen. The sweep is built once, with the
+plan (`backward_plan`), and held in it (`BackwardPlan.sweep`, with the map
+from category to head layer): `backward_multi` runs it and walks no spec line.
 
 A pass keeps only what the backward that follows it reads. `train` derives
 one plan (`backward_plan`) from the spec's `frozen=true` lines before its
@@ -38,8 +40,10 @@ and `evaluate` keep each pass's head logits and score every head once over
 the whole set; given an HC map, `evaluate` decodes the merged head's logits
 into per-category scores (`surgery.hc_scores`). The images and label columns
 of both split sides and of `evaluate` come from one step, `_arrays`, which
-picks each model category's column of the manifest's labels. The image sets
-are 8-bit rasters; each pass scales its own rows to float64 (`dataset.scale`).
+picks each model category's column of the manifest's labels and checks it
+once, against the category's class count, before any image is read: the one
+label check, so `score_logits` does arithmetic only. The image sets are 8-bit
+rasters; each pass scales its own rows to float64 (`dataset.scale`).
 
 `train` runs a frozen backbone once per image where that saves work, by
 cutting the network in two at its frontier (`_frontier`): the one layer with
@@ -142,6 +146,10 @@ class BackwardPlan:
     runs: frozenset[str]  # layers whose backward runs
     keeps_patches: frozenset[str]  # convs that train: forward keeps the patch matrix their weight gradient multiplies
     keeps: frozenset[str]  # activations a backward that runs reads: the inputs of the layers in `runs`
+    # the reverse sweep backward_multi runs, per layer in `runs` in reverse spec order:
+    # (backward op, layer, input name, is the input gradient read, does the layer train)
+    sweep: tuple = ()
+    heads: dict[str, str] = field(default_factory=dict)  # category -> its head layer's name
 
 
 NO_BACKWARD = BackwardPlan(frozenset(), {}, frozenset(), frozenset(), frozenset())  # a pass no backward follows
@@ -244,7 +252,13 @@ def backward_plan(bundle: ModelBundle) -> BackwardPlan:
 
     keeps = frozenset(lay.inputs[0] for lay in layers if lay.name in runs)
     keeps_patches = frozenset(lay.name for lay in layers if lay.kind == "conv" and lay.name in runs & trains)
-    return BackwardPlan(trains, reach, frozenset(runs), keeps_patches, keeps)
+    sweep = tuple(
+        (_LAYER_OPS[lay.kind][1], lay, lay.inputs[0], reach[lay.inputs[0]], lay.name in trains)
+        for lay in reversed(layers)
+        if lay.name in runs
+    )
+    heads = {lay.head_tag: lay.name for lay in bundle.spec.heads()}
+    return BackwardPlan(trains, reach, frozenset(runs), keeps_patches, keeps, sweep, heads)
 
 
 class PassProgram(NamedTuple):
@@ -305,26 +319,25 @@ def backward_multi(
     head_grads maps category -> gradient w.r.t. that head's logits, (N, F).
     Every activation gradient is channels-last, as the activations are.
     Returns weight/bias gradients for unfrozen layers only; layers with no
-    path to any seeded head are absent (their gradient is zero). Follows the
-    plan `state` was computed under: an input gradient nothing reads is not
+    path to any seeded head are absent (their gradient is zero). Runs the
+    sweep of the plan `state` was computed under (`BackwardPlan.sweep`, built
+    once by `backward_plan`): an input gradient nothing reads is not
     computed. A state computed under NO_BACKWARD raises TrainError.
     """
     plan = state.plan
     if plan is NO_BACKWARD:
         raise TrainError("backward_multi needs a forward pass run with the bundle's backward_plan")
     param_grads: dict[str, tuple[Tensor, np.ndarray]] = {}
-    heads = {lay.head_tag: lay.name for lay in bundle.spec.heads()}
     # one head per category, so each seed is its head's whole output gradient
-    out_grads = {heads[c]: np.asarray(g, dtype=np.float64).reshape(state.heads[c].shape) for c, g in head_grads.items()}
-
-    for lay in reversed(bundle.spec.layers):
-        if lay.name not in plan.runs or lay.name not in out_grads:
+    out_grads = {
+        plan.heads[c]: np.asarray(g, dtype=np.float64).reshape(state.heads[c].shape) for c, g in head_grads.items()
+    }
+    for backward, lay, src, read, trains in plan.sweep:
+        if lay.name not in out_grads:
             continue
         g = Tensor(out_grads.pop(lay.name))
-        src = lay.inputs[0]
-        read = plan.reach[src]
-        gx, *weight_grads = _LAYER_OPS[lay.kind][1](bundle, state, lay, state.activations[src], g, read)
-        if lay.name in plan.trains:  # each layer is visited once, so its gradients are final here
+        gx, *weight_grads = backward(bundle, state, lay, state.activations[src], g, read)
+        if trains:  # each layer is visited once, so its gradients are final here
             param_grads[lay.name] = tuple(weight_grads)
         if read:
             out_grads[src] = out_grads[src] + gx.data if src in out_grads else gx.data
@@ -345,7 +358,8 @@ def score_heads(
         if cat not in labels:
             raise TrainError(f"no labels for category {cat!r}")
         loss, accuracy, grad = score_logits(heads[cat], labels[cat])
-        scores[cat] = (loss, accuracy, lay.loss_weight * grad)
+        grad *= lay.loss_weight
+        scores[cat] = (loss, accuracy, grad)
     return scores
 
 
@@ -359,18 +373,22 @@ def sgd_step(
     """v <- momentum*v - lr*g; w <- w + v, in place, for exactly the layers `grads` names.
 
     `backward_multi` names only layers that train, so a frozen layer never moves.
+    A layer's velocity is updated in place, `v *= momentum; v -= lr * g`,
+    which rounds as `momentum * v - lr * g` does. It starts as zeros on the
+    layer's first step, so a -0.0 gradient entry gives a +0.0 step there, as
+    that formula does.
     """
     for name, (gw, gb) in grads.items():
         p = params[name]
-        if name in velocity:
-            vw, vb = velocity[name]
-        else:
-            vw, vb = np.zeros_like(p.weights.data), np.zeros_like(p.bias)
-        vw = momentum * vw - lr * gw.data
-        vb = momentum * vb - lr * gb
+        if name not in velocity:
+            velocity[name] = (np.zeros_like(p.weights.data), np.zeros_like(p.bias))
+        vw, vb = velocity[name]
+        vw *= momentum
+        vw -= lr * gw.data
+        vb *= momentum
+        vb -= lr * gb
         p.weights.data += vw
         p.bias += vb
-        velocity[name] = (vw, vb)
 
 
 def split_entries(
@@ -427,10 +445,28 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
+def _check_labels(entries: list[ManifestEntry], cat: str, column: np.ndarray, classes: int) -> None:
+    """Refuses a label column holding a class id outside [0, classes), naming the first such entry's image."""
+    outside = (column < 0) | (column >= classes)
+    if outside.any():
+        row = int(outside.argmax())
+        raise TrainError(
+            f"{entries[row].image_path}: category {cat!r} label {column[row]} out of range [0, {classes})"
+        )
+
+
 def _arrays(entries: list[ManifestEntry], full_cats, cats) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The entries' uint8 rasters and, per category of `cats`, its int64 column of the labels in `full_cats` order."""
+    """The entries' uint8 rasters and, per category of `cats`, its int64 column of the labels in `full_cats` order.
+
+    Each column is checked once here, against its category's class count,
+    before any image is read: the one label check of training, validation
+    and `evaluate` (`score_logits` takes the columns' rows as they are).
+    """
     table = np.array([e.labels for e in entries], dtype=np.int64)
-    return load_images(entries), {cat: table[:, full_cats.index(cat)] for cat in cats.names}
+    labels = {cat: table[:, full_cats.index(cat)] for cat in cats.names}
+    for cat, classes in zip(cats.names, cats.class_counts):
+        _check_labels(entries, cat, labels[cat], classes)
+    return load_images(entries), labels
 
 
 def _manifest_view(bundle: ModelBundle, entries: list[ManifestEntry], manifest_categories):
@@ -459,10 +495,11 @@ def _quiet_fp() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _check_finite(losses: dict[str, float], where: str) -> None:
+def _check_finite(losses: dict[str, float], where: str, *args) -> None:
+    """Raises TrainError naming the first head whose loss is not finite, and `where.format(*args)`, built only then."""
     for c, loss in losses.items():
-        if not np.isfinite(loss):
-            raise TrainError(f"training diverged in {where}: head {c} loss is {loss}")
+        if not math.isfinite(loss):
+            raise TrainError(f"training diverged in {where.format(*args)}: head {c} loss is {loss}")
 
 
 def _passes(bundle: ModelBundle, data: np.ndarray, batches=None, plan=NO_BACKWARD):
@@ -560,7 +597,9 @@ def train(
     """SGD with momentum on the unfrozen layers; returns the mutated bundle and the log.
 
     A loss that is not finite, on a training batch or on the validation side,
-    raises TrainError naming the epoch, the batch and the head.
+    raises TrainError naming the epoch, the batch and the head. A label outside
+    its category's classes raises TrainError naming the image, the category,
+    the label and the range, before any pass runs (`_arrays`).
 
     Where `_frontier` cuts the network, the frozen prefix runs once over every
     training and validation image, before the first epoch, and its frontier
@@ -601,15 +640,15 @@ def train(
         # a diverging step overflows silently: the finite-loss check is its one report
         with _quiet_fp():
             for batch, (rows, state) in enumerate(_passes(net, train_data, batches, plan), start=1):
-                where = f"epoch {epoch}, batch {batch} of {len(batches)}"
                 scores = score_heads(net, state.heads, {c: lab[rows] for c, lab in train_labels.items()})
-                _check_finite({c: scores[c][0] for c in cats.names}, where)
+                losses = {c: scores[c][0] for c in cats.names}
+                _check_finite(losses, "epoch {}, batch {} of {}", epoch, batch, len(batches))
                 grads = backward_multi(net, state, {c: grad for c, (_, _, grad) in scores.items()})
                 sgd_step(net.params, grads, config.learning_rate, config.momentum, velocity)
                 _add(sums, scores, len(rows))
             if val is not None:
                 val_loss, val_acc, _ = _evaluate_arrays(net, *val)
-                _check_finite(val_loss, f"epoch {epoch}, validation")
+                _check_finite(val_loss, "epoch {}, validation", epoch)
             else:
                 val_loss = val_acc = dict.fromkeys(cats.names, float("nan"))
         t1 = time.perf_counter()

@@ -437,6 +437,29 @@ class TestChannelsLastMatchesNchwReference:
             assert got[name][0].data.tobytes() == gw.tobytes(), name
             assert got[name][1].tobytes() == gb.tobytes(), name
 
+    def test_one_plan_serves_every_step(self):
+        """The sweep backward_plan builds once, held in the plan: over three SGD steps, every step's gradients
+        equal the reference's for the parameters as the step before left them."""
+        spec = attach_heads(parse_netspec(ACCEPTANCE_BACKBONE), CATS, "g")
+        bundle = training_only(new_bundle(spec, seed=5), {l.name for l in spec.layers})
+        plan = backward_plan(bundle)
+        assert [lay for _, lay, *_ in plan.sweep] == [l for l in reversed(bundle.spec.layers) if l.name in plan.runs]
+        assert plan.heads == {"kind": "head_kind", "spot": "head_spot"}
+        rng = np.random.default_rng(5)
+        velocity = {}
+        for _ in range(3):
+            images = rng.uniform(0, 1, (4, *spec.input_shape))
+            labels = {"kind": rng.integers(0, 3, 4), "spot": rng.integers(0, 2, 4)}
+            state = forward_all(bundle, Tensor(images), plan)
+            seeds = loss_grads(bundle, state, labels)
+            _, want_grads = reference_pass(bundle, images, seeds)
+            got = backward_multi(bundle, state, seeds)
+            assert set(got) == set(want_grads) == set(bundle.params)
+            for name, (gw, gb) in want_grads.items():
+                assert got[name][0].data.tobytes() == gw.tobytes(), name
+                assert got[name][1].tobytes() == gb.tobytes(), name
+            sgd_step(bundle.params, got, 0.1, 0.9, velocity)
+
 
 class TestInPlaceRelu:
     """A relu writes into its input where nothing reads that input after it: not a kept activation, the
@@ -850,6 +873,28 @@ class TestSgdStep:
             sgd_step(params, self.grad(2.0, 1.0), lr=0.1, momentum=0.9, velocity=velocity)
         assert built == [(1, 1, 1, 1), (1,)]
 
+    @pytest.mark.parametrize("lr,momentum", [(0.1, 0.9), (1.0, 0.0), (0.3, 0.5), (1e-3, 0.99)])
+    def test_in_place_velocity_equals_the_momentum_recurrence(self, lr, momentum):
+        # bit for bit against v <- momentum * v - lr * g; w <- w + v, over steps whose gradients hold
+        # +0.0 and -0.0: some entries only ever get signed zeros, others get them once their velocity moved
+        rng = np.random.default_rng(int(1000 * lr + 10 * momentum))
+        w, b = rng.normal(size=(3, 4, 1, 1)), rng.normal(size=3)
+        params = {"fc": LayerParams(Tensor(w.copy()), b.copy())}
+        velocity = {}
+        vw, vb = np.zeros_like(w), np.zeros_like(b)
+        for step in range(4):
+            gw, gb = rng.normal(size=w.shape), rng.normal(size=b.shape)
+            gw.flat[:2] = (0.0, -0.0)
+            gb[0] = -0.0 if step % 2 else 0.0
+            if step >= 2:
+                gw.flat[2:4] = (-0.0, 0.0)
+                gb[1] = -0.0
+            sgd_step(params, {"fc": (Tensor(gw), gb)}, lr, momentum, velocity)
+            vw, vb = momentum * vw - lr * gw, momentum * vb - lr * gb
+            w, b = w + vw, b + vb
+            assert velocity["fc"][0].tobytes() == vw.tobytes() and velocity["fc"][1].tobytes() == vb.tobytes()
+            assert params["fc"].weights.data.tobytes() == w.tobytes() and params["fc"].bias.tobytes() == b.tobytes()
+
     def test_updates_happen_in_place(self):
         params = self.one_param(1.0, 0.5)
         w_ref = params["fc"].weights.data
@@ -1105,6 +1150,50 @@ class TestTrain:
                 train(bundle, entries, TrainConfig(epochs=1), manifest_categories=PIXEL_CATS)
             else:
                 evaluate(bundle, entries, manifest_categories=PIXEL_CATS)
+
+    @staticmethod
+    def spy_passes(monkeypatch):
+        """Records every forward_all call, and runs none."""
+        passes = []
+        monkeypatch.setattr(training_mod, "forward_all", lambda *args: passes.append(args))
+        return passes
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    @pytest.mark.parametrize("label", [2, 9, -1])
+    def test_out_of_range_label_is_refused_before_any_pass(self, pixel_dataset, monkeypatch, run, label):
+        # col has two classes: 2 is one past the last
+        passes = self.spy_passes(monkeypatch)
+        bad = ManifestEntry(pixel_dataset[7].image_path, (pixel_dataset[7].labels[0], label))
+        entries = [*pixel_dataset[:7], bad, *pixel_dataset[8:]]
+        want = f"{bad.image_path}: category 'col' label {label} out of range [0, 2)"
+        with pytest.raises(TrainError, match=f"^{re.escape(want)}$"):
+            if run == "train":
+                train(pixel_bundle(), entries, TrainConfig(epochs=2))
+            else:
+                evaluate(pixel_bundle(), entries)
+        assert passes == []
+
+    def test_first_of_several_bad_labels_is_named(self, pixel_dataset, monkeypatch):
+        passes = self.spy_passes(monkeypatch)
+        entries = list(pixel_dataset)
+        for i, label in ((3, 3), (9, -1), (12, 9)):
+            entries[i] = ManifestEntry(entries[i].image_path, (label, 0))
+        want = f"{entries[3].image_path}: category 'row' label 3 out of range [0, 2)"
+        with pytest.raises(TrainError, match=f"^{re.escape(want)}$"):
+            evaluate(pixel_bundle(), entries)
+        assert passes == []
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_a_column_the_model_does_not_score_is_not_checked(self, pixel_dataset, run):
+        # a single-head col model over the shared two-column manifest, one of whose row labels is out of range
+        backbone = parse_netspec("\n".join(PIXEL_NET.splitlines()[:2]) + "\n")
+        bundle = new_bundle(attach_heads(backbone, PIXEL_CATS.subset(["col"]), "feat"), seed=0)
+        entries = list(pixel_dataset)
+        entries[5] = ManifestEntry(entries[5].image_path, (9, entries[5].labels[1]))
+        if run == "train":
+            train(bundle, entries, TrainConfig(epochs=1), manifest_categories=PIXEL_CATS)
+        else:
+            assert set(evaluate(bundle, entries, manifest_categories=PIXEL_CATS)) == {"col"}
 
 
 def hc_pixel_model(entries, seed):
@@ -1554,6 +1643,25 @@ class TestFrontierCache:
         for head in ("head_shape", "head_position"):
             # per epoch: 7 training batches of 5 or fewer, then 2 validation chunks
             assert forward[head][0] == config.epochs * (math.ceil(31 / 5) + math.ceil(15 / 8))
+
+    def test_a_cached_train_checks_each_label_column_once_and_builds_no_more_tensors(self, synthetic, monkeypatch):
+        checked = []
+        check_labels = training_mod._check_labels
+
+        def spy(entries, cat, column, classes):
+            checked.append((cat, len(column), classes))
+            check_labels(entries, cat, column, classes)
+
+        monkeypatch.setattr(training_mod, "_check_labels", spy)
+        bundle, entries, _ = self.variant("proposed", *synthetic)
+        with Tracer() as tracer:
+            train(bundle, entries, TrainConfig(epochs=2, batch_size=5, learning_rate=0.3, seed=0))
+        # counted on this train while score_logits still checked its labels on every head of every batch
+        assert tracer.tensors <= 174
+        # 4 + 2 prefix passes, then per epoch 7 training batches and 2 validation chunks
+        assert tracer.spans["training.forward_all"].calls == 24
+        # once per label column per side of the split, not per head and batch
+        assert sorted(checked) == [("position", 15, 4), ("position", 31, 4), ("shape", 15, 4), ("shape", 31, 4)]
 
     @pytest.mark.parametrize(
         "name,epochs", [("finetune_shaped", 3), ("pixel", 3), ("proposed", 0), ("proposed", 1)]
